@@ -262,9 +262,9 @@ def _cmd_decompose(args, problem, tol, digest):
         "converged": meta.converged,
     }
     if args.cross_check:
-        sings = {}
-        flags = []
-        for name in (m.value for m in Method):
+        sings = {args.method: sing_mat.entries}
+        flags = [meta.converged]
+        for name in (m.value for m in Method if m.value != args.method):
             _, _, other_sing, other_meta = _decomposition_views(problem, tol, name)
             sings[name] = other_sing.entries
             flags.append(other_meta.converged)

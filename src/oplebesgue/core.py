@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,36 +75,33 @@ class PsdMatrix:
     Input is averaged with its conjugate transpose once the stored asymmetry
     is verified to be within ``recon_tol``; eigenvalues may dip below zero by
     at most ``psd_slack * (1 + max |eigenvalue|)``.  Real input is embedded
-    with zero imaginary parts.
+    with zero imaginary parts.  The matrix keeps its own eigendecomposition
+    once one is computed, so it is factored at most once.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_factored")
 
     def __init__(self, entries, tol: Tolerances = DEFAULT_TOL):
-        m = np.array(entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        scale = 1.0 + float(np.linalg.norm(m))
-        asym = float(np.linalg.norm(m - m.conj().T))
-        if asym > tol.recon_tol * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
-                f"{tol.recon_tol * scale:.3e}"
-            )
-        h = (m + m.conj().T) / 2.0
+        h = _hermitian_part(entries, tol)
         if h.shape[0] > 0:
-            w = _eigvalsh(h)
-            largest = float(np.max(np.abs(w)))
-            smallest = float(w[0])
-            if smallest < -tol.psd_slack * (1.0 + largest):
-                raise ValueError(
-                    f"matrix is not positive semidefinite: smallest eigenvalue "
-                    f"{smallest:.3e} below slack {-tol.psd_slack * (1.0 + largest):.3e}"
-                )
+            _require_psd(_eigvalsh(h), tol)
         h.flags.writeable = False
         self._entries = h
+        self._factored = None
+
+    @classmethod
+    def _checked(cls, h: np.ndarray, factored: _Factorization) -> PsdMatrix:
+        """Wrap a validated Hermitian array together with its factorization."""
+        obj = cls.__new__(cls)
+        h.flags.writeable = False
+        obj._entries = h
+        obj._factored = factored
+        return obj
+
+    def _factorization(self) -> _Factorization:
+        if self._factored is None:
+            self._factored = _factor(self._entries)
+        return self._factored
 
     @classmethod
     def zero(cls, dim: int) -> PsdMatrix:
@@ -131,17 +130,36 @@ class PsdMatrix:
         return float(np.linalg.norm(self._entries))
 
     def __add__(self, other: PsdMatrix) -> PsdMatrix:
+        """A + B, validated from one ``eigh`` that the sum keeps.
+
+        Runs the checks of the constructor (Hermitian, finite, positive
+        within the slack) on the eigenvalues of that factorization instead
+        of on a separate ``eigvalsh``, so a sum built to be factored is
+        factored once.
+        """
         if not isinstance(other, PsdMatrix):
             return NotImplemented
         require_same_dim(self, other)
-        return PsdMatrix(self._entries + other._entries)
+        h = _hermitian_part(self._entries + other._entries, DEFAULT_TOL)
+        factored = _factor(h)
+        _require_psd(factored.dec.eigenvalues, DEFAULT_TOL)
+        return PsdMatrix._checked(h, factored)
 
     def __mul__(self, scalar) -> PsdMatrix:
         if not isinstance(scalar, (int, float)):
             return NotImplemented
         if scalar < 0:
             raise ValueError("scaling a PSD matrix requires a nonnegative factor")
-        return PsdMatrix(self._entries * scalar)
+        entries = self._entries * scalar
+        # A power-of-two factor of at least one is exact in binary floating
+        # point, so the product's eigendecomposition is this matrix's with the
+        # eigenvalues scaled; a finite ||s M||_F bounds every entry and
+        # eigenvalue of the product.
+        if scalar >= 1 and math.frexp(scalar)[0] == 0.5 and math.isfinite(scalar * self.norm):
+            factored = self._factorization().scaled(scalar)
+            _require_psd(factored.dec.eigenvalues, DEFAULT_TOL)
+            return PsdMatrix._checked(entries, factored)
+        return PsdMatrix(entries)
 
     __rmul__ = __mul__
 
@@ -171,6 +189,36 @@ class EigenDecomposition:
             arr.flags.writeable = False
 
 
+def _hermitian_part(entries, tol: Tolerances) -> np.ndarray:
+    """Square, finite, Hermitian within ``recon_tol``: the averaged array."""
+    m = np.array(entries, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    scale = 1.0 + float(np.linalg.norm(m))
+    asym = float(np.linalg.norm(m - m.conj().T))
+    if asym > tol.recon_tol * scale:
+        raise ValueError(
+            f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
+            f"{tol.recon_tol * scale:.3e}"
+        )
+    return (m + m.conj().T) / 2.0
+
+
+def _require_psd(eigenvalues: np.ndarray, tol: Tolerances) -> None:
+    """Positivity within the slack, judged on the matrix's eigenvalues."""
+    if eigenvalues.size == 0:
+        return
+    smallest = float(np.min(eigenvalues))
+    largest = float(np.max(np.abs(eigenvalues)))
+    if smallest < -tol.psd_slack * (1.0 + largest):
+        raise ValueError(
+            f"matrix is not positive semidefinite: smallest eigenvalue "
+            f"{smallest:.3e} below slack {-tol.psd_slack * (1.0 + largest):.3e}"
+        )
+
+
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(h)
@@ -178,15 +226,21 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
 
 
-def eig_hermitian(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+class _Factorization(NamedTuple):
+    """A matrix's own eigendecomposition with its Frobenius-norm residuals:
+    ``recon`` = ||M - V diag(w) V*||, ``ortho`` = ||V* V - I||."""
 
-    The descending sort is stable, so degenerate eigenvalues keep the
-    eigenvector order chosen by the underlying solver (identity input yields
-    the identity basis).  Raises NumericalError carrying the residual if the
-    reconstruction or unitarity check fails.
-    """
-    h = m.entries
+    dec: EigenDecomposition
+    recon: float
+    ortho: float
+
+    def scaled(self, factor: float) -> _Factorization:
+        """The factorization of ``factor * M`` for an exact scaling."""
+        dec = EigenDecomposition(self.dec.eigenvalues * factor, self.dec.vectors)
+        return _Factorization(dec, self.recon * factor, self.ortho)
+
+
+def _factor(h: np.ndarray) -> _Factorization:
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -194,21 +248,35 @@ def eig_hermitian(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposi
     order = np.argsort(-w, kind="stable")
     w = np.ascontiguousarray(w[order])
     v = np.ascontiguousarray(v[:, order])
-    scale = 1.0 + float(np.linalg.norm(h))
     recon = float(np.linalg.norm(h - (v * w) @ v.conj().T))
-    if recon > tol.recon_tol * scale:
-        raise NumericalError(
-            f"eigendecomposition reconstruction residual {recon:.3e} exceeds "
-            f"{tol.recon_tol * scale:.3e}",
-            residual=recon,
-        )
     ortho = float(np.linalg.norm(v.conj().T @ v - np.eye(h.shape[0])))
-    if ortho > tol.recon_tol:
+    return _Factorization(EigenDecomposition(w, v), recon, ortho)
+
+
+def eig_hermitian(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+
+    The descending sort is stable, so degenerate eigenvalues keep the
+    eigenvector order chosen by the underlying solver (identity input yields
+    the identity basis).  The matrix is factored on its first call only;
+    every call checks the stored reconstruction and unitarity residuals
+    against ``tol`` and raises NumericalError carrying the residual if one
+    fails.
+    """
+    factored = m._factorization()
+    scale = 1.0 + m.norm
+    if factored.recon > tol.recon_tol * scale:
         raise NumericalError(
-            f"eigenvector unitarity residual {ortho:.3e} exceeds {tol.recon_tol:.3e}",
-            residual=ortho,
+            f"eigendecomposition reconstruction residual {factored.recon:.3e} exceeds "
+            f"{tol.recon_tol * scale:.3e}",
+            residual=factored.recon,
         )
-    return EigenDecomposition(w, v)
+    if factored.ortho > tol.recon_tol:
+        raise NumericalError(
+            f"eigenvector unitarity residual {factored.ortho:.3e} exceeds {tol.recon_tol:.3e}",
+            residual=factored.ortho,
+        )
+    return factored.dec
 
 
 def _support_mask(eigenvalues: np.ndarray, tol: Tolerances) -> np.ndarray:

@@ -151,21 +151,26 @@ def direct_decompose(
 ) -> LebesgueDecomposition:
     """Decompose B in one shot via the auxiliary space of C = A + B.
 
-    The singular part is the compression of the projection onto the kernel of
-    a_tilde; the absolutely continuous part compresses b_tilde minus that
-    projection.  Kernel membership uses the relative rank cutoff, so a_tilde
-    that vanishes entirely makes all of B singular.
+    With a_tilde = V diag(mu) V* and G = embed @ V, the singular part is the
+    compression G_0 G_0* of the projection onto the kernel of a_tilde, and
+    the absolutely continuous part is G_1 diag(1 - mu_1) G_1*, the
+    compression of b_tilde minus that projection, over the kept
+    eigenvectors.  Both are built from that one eigendecomposition, so they
+    are positive up to the round-off of their own size, not of C's.  Kernel
+    membership uses the relative rank cutoff, so a_tilde that vanishes
+    entirely makes all of B singular.
     """
     require_same_dim(a, b)
     aux = auxiliary_space(a, b, tol)
     dec = eig_hermitian(aux.a_tilde, tol)
-    w = dec.eigenvalues
-    cutoff = tol.rank_rtol * max(float(w[0]), 0.0) if w.size else 0.0
-    kernel = dec.vectors[:, w <= cutoff]
-    p_m = kernel @ kernel.conj().T
-    j = aux.embed
-    sing = PsdMatrix(j @ p_m @ j.conj().T, tol)
-    ac = PsdMatrix(j @ (aux.b_tilde.entries - p_m) @ j.conj().T, tol)
+    mu = dec.eigenvalues
+    cutoff = tol.rank_rtol * max(float(mu[0]), 0.0) if mu.size else 0.0
+    keep = mu > cutoff
+    g = aux.embed @ dec.vectors
+    g0 = g[:, ~keep]
+    g1 = g[:, keep]
+    sing = PsdMatrix(g0 @ g0.conj().T, tol)
+    ac = PsdMatrix((g1 * np.clip(1.0 - mu[keep], 0.0, None)) @ g1.conj().T, tol)
     return LebesgueDecomposition(ac, sing, Method.DIRECT, 0, 0.0, True)
 
 

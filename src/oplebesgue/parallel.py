@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     DEFAULT_TOL,
@@ -141,8 +140,7 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
         prod = s - s @ _scaled_pseudo_apply(big, small, tol)
         amplified = small.norm
     else:
-        c = a + b
-        dec = eig_hermitian(c, tol)
+        dec = eig_hermitian(a + b, tol)
         w = dec.eigenvalues
         keep = w > (tol.rank_rtol * max(float(w[0]), 0.0) if w.size else 0.0)
         inv = np.zeros_like(w)
@@ -173,6 +171,10 @@ def variational_value(
     Raises NumericalError carrying the best value found if the minimizer
     fails to reach a stationary point.
     """
+    # Imported here because scipy.optimize dominates the package's import
+    # time and nothing else uses it.
+    from scipy.optimize import minimize
+
     require_same_dim(a, b)
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if x.shape[0] != a.dim:

@@ -265,3 +265,42 @@ def test_human_readable_output_without_json_flag(capsys):
     assert code == 0
     assert "decompose" in out
     assert "sum_residual" in out
+
+
+@pytest.mark.parametrize("method", ["direct", "iterate", "ando"])
+@pytest.mark.parametrize("name", ["operator_pair.json", "form_pair.json", "functional_pair.json"])
+def test_cross_check_runs_each_method_once(capsys, monkeypatch, name, method):
+    path = str(DATA / name)
+    original = cli._decomposition_views
+    problem = parse_problem_text((DATA / name).read_text(encoding="utf-8"))
+    tol = problem.tolerances
+    sings = {m: original(problem, tol, m)[2].entries for m in ("direct", "iterate", "ando")}
+    expected = max(
+        float(np.linalg.norm(sings[x] - sings[y]))
+        for x, y in (("ando", "direct"), ("ando", "iterate"), ("direct", "iterate"))
+    )
+    _, plain, _ = run_json(capsys, "decompose", path, "--method", method)
+
+    calls = []
+
+    def counted(problem, tol, m):
+        calls.append(m)
+        return original(problem, tol, m)
+
+    monkeypatch.setattr(cli, "_decomposition_views", counted)
+    code, report, _ = run_json(capsys, "decompose", path, "--method", method, "--cross-check")
+    assert code == 0
+    assert sorted(calls) == ["ando", "direct", "iterate"]
+    assert report["result"] == plain["result"]
+    extra = report["diagnostics"]
+    assert extra.pop("cross_method_max_discrepancy") == expected
+    assert extra.pop("cross_method_all_converged") is True
+    assert extra == plain["diagnostics"]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize dominates import time and only the variational oracle uses it
+    probe = "import sys, oplebesgue.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -168,6 +168,21 @@ def test_direct_trivial_range_intersection_is_fully_singular():
     assert dec.ac.norm <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [2, 3, 12])
+def test_direct_mutually_singular_gaussian_pairs(seed):
+    # two generic rank-32 ranges in C^64 meet only in zero, so B is singular
+    # to A; the zero ac part must not carry round-off at the scale of A + B
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(64, 32)) + 1j * rng.normal(size=(64, 32))
+    y = rng.normal(size=(64, 32)) + 1j * rng.normal(size=(64, 32))
+    a, b = PsdMatrix(x @ x.conj().T), PsdMatrix(y @ y.conj().T)
+    dec = decompose(a, b, "direct")
+    assert dec.ac.norm <= 1e-12 * b.norm
+    assert np.linalg.norm(dec.sing.entries - b.entries) <= 1e-12 * b.norm
+    ando = decompose(a, b, "ando")
+    assert np.linalg.norm(dec.sing.entries - ando.sing.entries) <= 1e-10 * b.norm
+
+
 def test_direct_kernel_projection_is_projection():
     rng = np.random.default_rng(34)
     for _ in range(10):
