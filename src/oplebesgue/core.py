@@ -65,6 +65,13 @@ class Tolerances:
         if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
 
+    def support(self, eigenvalues: np.ndarray) -> np.ndarray:
+        """True where an eigenvalue (sorted descending) counts as nonzero: above
+        ``rank_rtol`` times the largest, so none when the largest is <= 0."""
+        if eigenvalues.size == 0:
+            return np.zeros(0, dtype=bool)
+        return eigenvalues > self.rank_rtol * max(float(eigenvalues[0]), 0.0)
+
 
 DEFAULT_TOL = Tolerances()
 
@@ -127,23 +134,14 @@ class PsdMatrix:
     @property
     def norm(self) -> float:
         """Frobenius norm."""
-        return float(np.linalg.norm(self._entries))
+        return _frobenius(self._entries)
 
     def __add__(self, other: PsdMatrix) -> PsdMatrix:
-        """A + B, validated from one ``eigh`` that the sum keeps.
-
-        Runs the checks of the constructor (Hermitian, finite, positive
-        within the slack) on the eigenvalues of that factorization instead
-        of on a separate ``eigvalsh``, so a sum built to be factored is
-        factored once.
-        """
+        """A + B, validated on one ``eigh`` that the sum keeps (``factor_psd``)."""
         if not isinstance(other, PsdMatrix):
             return NotImplemented
         require_same_dim(self, other)
-        h = _hermitian_part(self._entries + other._entries, DEFAULT_TOL)
-        factored = _factor(h)
-        _require_psd(factored.dec.eigenvalues, DEFAULT_TOL)
-        return PsdMatrix._checked(h, factored)
+        return factor_psd(self._entries + other._entries)
 
     def __mul__(self, scalar) -> PsdMatrix:
         if not isinstance(scalar, (int, float)):
@@ -189,21 +187,34 @@ class EigenDecomposition:
             arr.flags.writeable = False
 
 
+def _frobenius(m: np.ndarray) -> float:
+    """Frobenius norm.  ``numpy.linalg.norm`` squares the entries and overflows
+    above about 1.3e154; only then is the array rescaled by a power of two."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
+    if math.isfinite(norm):
+        return norm
+    scale = 2.0 ** -math.frexp(float(np.max(np.abs(m))))[1]
+    return float(np.linalg.norm(m * scale)) / scale
+
+
 def _hermitian_part(entries, tol: Tolerances) -> np.ndarray:
-    """Square, finite, Hermitian within ``recon_tol``: the averaged array."""
+    """Square, finite, Hermitian within ``recon_tol``: the averaged array
+    m/2 + m*/2, which cannot overflow."""
     m = np.array(entries, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    scale = 1.0 + float(np.linalg.norm(m))
-    asym = float(np.linalg.norm(m - m.conj().T))
+    half = m / 2.0
+    scale = 1.0 + _frobenius(m)
+    asym = 2.0 * _frobenius(half - half.conj().T)
     if asym > tol.recon_tol * scale:
         raise ValueError(
             f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
             f"{tol.recon_tol * scale:.3e}"
         )
-    return (m + m.conj().T) / 2.0
+    return half + half.conj().T
 
 
 def _require_psd(eigenvalues: np.ndarray, tol: Tolerances) -> None:
@@ -240,17 +251,74 @@ class _Factorization(NamedTuple):
         return _Factorization(dec, self.recon * factor, self.ortho)
 
 
-def _factor(h: np.ndarray) -> _Factorization:
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvalues (descending, stable order), eigenvectors V and ||V* V - I||."""
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
     order = np.argsort(-w, kind="stable")
-    w = np.ascontiguousarray(w[order])
     v = np.ascontiguousarray(v[:, order])
-    recon = float(np.linalg.norm(h - (v * w) @ v.conj().T))
-    ortho = float(np.linalg.norm(v.conj().T @ v - np.eye(h.shape[0])))
+    return np.ascontiguousarray(w[order]), v, _frobenius(v.conj().T @ v - np.eye(v.shape[0]))
+
+
+def _factor(h: np.ndarray) -> _Factorization:
+    w, v, ortho = _eigh(h)
+    recon = _frobenius(h - (v * w) @ v.conj().T)
     return _Factorization(EigenDecomposition(w, v), recon, ortho)
+
+
+def factor_psd(entries, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
+    """A PSD matrix built to be factored: the constructor's checks run on the
+    eigenvalues of one ``eigh`` that it keeps, not on a separate ``eigvalsh``."""
+    h = _hermitian_part(entries, tol)
+    factored = _factor(h)
+    _require_psd(factored.dec.eigenvalues, tol)
+    return PsdMatrix._checked(h, factored)
+
+
+def _from_spectrum(values, vectors, ortho: float, tol: Tolerances) -> PsdMatrix:
+    """V diag(values) V*, kept with that factorization: positivity is judged on
+    ``values``, the product gets only the cheap Hermitian and finiteness
+    checks, and the unitarity residual ``ortho`` of V is inherited."""
+    order = np.argsort(-values, kind="stable")
+    w = np.ascontiguousarray(values[order])
+    v = np.ascontiguousarray(vectors[:, order])
+    product = (v * w) @ v.conj().T
+    h = _hermitian_part(product, tol)
+    _require_psd(w, tol)
+    recon = _frobenius(h - product)
+    return PsdMatrix._checked(h, _Factorization(EigenDecomposition(w, v), recon, ortho))
+
+
+def spectral_map(m: PsdMatrix, values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
+    """M's eigenvectors with new eigenvalues ``values`` (in the order of
+    ``eig_hermitian(m).eigenvalues``), kept as the result's factorization."""
+    dec = eig_hermitian(m, tol)
+    return _from_spectrum(values, dec.vectors, m._factorization().ortho, tol)
+
+
+def clip_psd(h: np.ndarray, noise: float, tol: Tolerances, context: str) -> PsdMatrix:
+    """Factor a mathematically PSD array once and clip eigenvalues below zero
+    by at most ``noise``, the backward-error scale of the computation that
+    produced ``h``; anything more negative is a genuine failure of ``context``."""
+    w, v, ortho = _eigh(h / 2.0 + h.conj().T / 2.0)
+    if w.size and w[-1] < -noise:
+        raise NumericalError(
+            f"{context} lost positivity beyond round-off ({w[-1]:.3e})",
+            residual=float(-w[-1]),
+        )
+    return _from_spectrum(np.clip(w, 0.0, None), v, ortho, tol)
+
+
+def support_roots(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(R, S) = (U sqrt(lam), U / sqrt(lam)) over the support of
+    M = U diag(lam) U*: M = R R* and R* S = I."""
+    dec = eig_hermitian(m, tol)
+    keep = tol.support(dec.eigenvalues)
+    root = np.sqrt(dec.eigenvalues[keep])
+    u = dec.vectors[:, keep]
+    return u * root, u / root
 
 
 def eig_hermitian(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
@@ -279,32 +347,19 @@ def eig_hermitian(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposi
     return factored.dec
 
 
-def _support_mask(eigenvalues: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """True where an eigenvalue counts as nonzero under the relative rank cutoff."""
-    if eigenvalues.size == 0:
-        return np.zeros(0, dtype=bool)
-    cutoff = tol.rank_rtol * max(float(eigenvalues[0]), 0.0)
-    return eigenvalues > cutoff
-
-
 def pinv(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
     """Moore-Penrose pseudoinverse of a PSD matrix.
 
     Eigenvalues at most ``rank_rtol`` times the largest are treated as zero.
     """
-    dec = eig_hermitian(m, tol)
-    keep = _support_mask(dec.eigenvalues, tol)
-    inv = np.zeros_like(dec.eigenvalues)
-    inv[keep] = 1.0 / dec.eigenvalues[keep]
-    return PsdMatrix((dec.vectors * inv) @ dec.vectors.conj().T, tol)
+    w = eig_hermitian(m, tol).eigenvalues
+    return spectral_map(m, np.divide(1.0, w, out=np.zeros_like(w), where=tol.support(w)), tol)
 
 
 def range_projection(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
     """Orthogonal projection onto the range of a PSD matrix (numerical rank)."""
-    dec = eig_hermitian(m, tol)
-    keep = _support_mask(dec.eigenvalues, tol)
-    v = dec.vectors[:, keep]
-    return PsdMatrix(v @ v.conj().T, tol)
+    keep = tol.support(eig_hermitian(m, tol).eigenvalues)
+    return spectral_map(m, keep.astype(float), tol)
 
 
 def loewner_leq(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:

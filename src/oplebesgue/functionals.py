@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, PsdMatrix, Tolerances, eig_hermitian
+from .core import DEFAULT_TOL, PsdMatrix, Tolerances, clip_psd, support_roots
 from .forms import SesquilinearForm, form_decompose, form_parallel_sum
 from .lebesgue import Method
 
@@ -239,34 +239,21 @@ def gns(w: Functional, tol: Tolerances = DEFAULT_TOL) -> GnsTriplet:
     the cyclic vector is the class of the unit.
     """
     algebra = w.algebra
-    dec = eig_hermitian(induced_form(w, tol).gram, tol)
-    eigs = dec.eigenvalues
-    cutoff = tol.rank_rtol * max(float(eigs[0]), 0.0) if eigs.size else 0.0
-    keep = eigs > cutoff
-    lam = eigs[keep]
-    v = dec.vectors[:, keep]
-    rank = int(lam.size)
-    to_coords = np.sqrt(lam)[:, None] * v.conj().T
-    from_coords = v / np.sqrt(lam) if rank else v
+    root, from_coords = support_roots(induced_form(w, tol).gram, tol)
+    to_coords = root.conj().T
     zeta = to_coords @ algebra.coefficients(algebra.unit())
-    return GnsTriplet(algebra, rank, zeta, to_coords, from_coords)
+    return GnsTriplet(algebra, root.shape[1], zeta, to_coords, from_coords)
 
 
 def _density_from_values(values: np.ndarray, n: int, tol: Tolerances) -> PsdMatrix:
     """Rebuild one block density from functional values on its matrix units.
 
     trace(rho E_ij) = rho[j, i]; the result is symmetrized and eigenvalues
-    within psd_slack below zero are clipped to zero.
+    within psd_slack * (1 + ||rho||_F) below zero are clipped to zero.
     """
-    rho = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            rho[j, i] = values[i * n + j]
-    rho = (rho + rho.conj().T) / 2.0
-    eigs, vecs = np.linalg.eigh(rho)
-    scale = 1.0 + float(np.max(np.abs(eigs))) if eigs.size else 1.0
-    clipped = np.where((eigs < 0.0) & (eigs >= -tol.psd_slack * scale), 0.0, eigs)
-    return PsdMatrix((vecs * clipped) @ vecs.conj().T, tol)
+    rho = values.reshape(n, n).T
+    noise = tol.psd_slack * (1.0 + float(np.linalg.norm(rho)))
+    return clip_psd(rho, noise, tol, "functional density")
 
 
 def functional_from_form(

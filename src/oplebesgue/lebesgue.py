@@ -17,8 +17,11 @@ from .core import (
     PsdMatrix,
     Tolerances,
     eig_hermitian,
+    factor_psd,
     range_projection,
     require_same_dim,
+    spectral_map,
+    support_roots,
 )
 from .parallel import ando_ac_part, parallel_sum
 
@@ -127,23 +130,14 @@ def auxiliary_space(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -
 
     With C = U diag(lam) U* and r the rank of C under the relative cutoff:
     embed = U_r diag(sqrt(lam)), a_tilde the congruence of A by
-    diag(1/sqrt(lam)) U_r*, and b_tilde = I - a_tilde.  Rank zero yields the
-    empty space.
+    diag(1/sqrt(lam)) U_r*, and b_tilde = I - a_tilde, built on the spectrum
+    1 - mu of a_tilde = V diag(mu) V*.  Rank zero yields the empty space.
     """
     require_same_dim(a, b)
-    dec = eig_hermitian(a + b, tol)
-    w = dec.eigenvalues
-    cutoff = tol.rank_rtol * max(float(w[0]), 0.0) if w.size else 0.0
-    keep = w > cutoff
-    lam = w[keep]
-    u = dec.vectors[:, keep]
-    rank = int(lam.size)
-    embed = u * np.sqrt(lam)
-    scaled = u / np.sqrt(lam) if rank else u
-    at = scaled.conj().T @ a.entries @ scaled
-    a_tilde = PsdMatrix((at + at.conj().T) / 2.0, tol)
-    b_tilde = PsdMatrix(np.eye(rank) - a_tilde.entries, tol)
-    return AuxiliarySpace(rank, embed, a_tilde, b_tilde)
+    embed, coords = support_roots(a + b, tol)
+    a_tilde = factor_psd(coords.conj().T @ a.entries @ coords, tol)
+    b_tilde = spectral_map(a_tilde, 1.0 - eig_hermitian(a_tilde, tol).eigenvalues, tol)
+    return AuxiliarySpace(a_tilde.dim, embed, a_tilde, b_tilde)
 
 
 def direct_decompose(
@@ -164,8 +158,7 @@ def direct_decompose(
     aux = auxiliary_space(a, b, tol)
     dec = eig_hermitian(aux.a_tilde, tol)
     mu = dec.eigenvalues
-    cutoff = tol.rank_rtol * max(float(mu[0]), 0.0) if mu.size else 0.0
-    keep = mu > cutoff
+    keep = tol.support(mu)
     g = aux.embed @ dec.vectors
     g0 = g[:, ~keep]
     g1 = g[:, keep]

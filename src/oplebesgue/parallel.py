@@ -11,9 +11,11 @@ from .core import (
     NumericalError,
     PsdMatrix,
     Tolerances,
+    clip_psd,
     eig_hermitian,
     pinv,
     require_same_dim,
+    spectral_map,
 )
 
 __all__ = [
@@ -27,29 +29,6 @@ __all__ = [
 
 # Doubling schedule cap for the increasing limit of (2^k A) : B.
 ANDO_MAX_DOUBLINGS = 40
-
-
-def _psd_project(h: np.ndarray, noise: float, tol: Tolerances, context: str) -> PsdMatrix:
-    """Strip round-off negatives from a mathematically PSD matrix.
-
-    Eigenvalues below zero by at most ``noise`` (the backward-error scale of
-    the computation that produced ``h``) are clipped; anything more negative
-    is a genuine failure.
-    """
-    if h.shape[0] == 0:
-        return PsdMatrix(h, tol)
-    eigs, vecs = np.linalg.eigh(h)
-    if eigs[0] < -noise:
-        raise NumericalError(
-            f"{context} lost positivity beyond round-off ({eigs[0]:.3e})",
-            residual=float(-eigs[0]),
-        )
-    return PsdMatrix((vecs * np.clip(eigs, 0.0, None)) @ vecs.conj().T, tol)
-
-
-def _clip_positive(h: np.ndarray) -> np.ndarray:
-    eigs, vecs = np.linalg.eigh(h)
-    return (vecs * np.clip(eigs, 0.0, None)) @ vecs.conj().T
 
 
 def _nearest_in_order_interval(h: np.ndarray, upper: np.ndarray, noise: float,
@@ -67,9 +46,9 @@ def _nearest_in_order_interval(h: np.ndarray, upper: np.ndarray, noise: float,
     p = np.zeros_like(h)
     q = np.zeros_like(h)
     for _ in range(100):
-        y = _clip_positive(x + p)
+        y = clip_psd(x + p, np.inf, tol, context).entries
         p = x + p - y
-        x = upper - _clip_positive(upper - (y + q))
+        x = upper - clip_psd(upper - (y + q), np.inf, tol, context).entries
         q = y + q - x
         low = float(np.linalg.eigvalsh(x)[0])
         high = float(np.linalg.eigvalsh(upper - x)[0])
@@ -101,19 +80,17 @@ def _scaled_pseudo_apply(big: PsdMatrix, small: PsdMatrix, tol: Tolerances) -> n
     which lives entirely at the small scale.
     """
     dec = eig_hermitian(big, tol)
-    w = dec.eigenvalues
-    keep = w > (tol.rank_rtol * max(float(w[0]), 0.0) if w.size else 0.0)
+    keep = tol.support(dec.eigenvalues)
     u1 = dec.vectors[:, keep]
     u0 = dec.vectors[:, ~keep]
     s = small.entries
-    h = np.diag(w[keep]) + u1.conj().T @ s @ u1
+    h = np.diag(dec.eigenvalues[keep]) + u1.conj().T @ s @ u1
     f = u1.conj().T @ s @ u0
     g = u0.conj().T @ s @ u0
     hinv_f = np.linalg.solve(h, f)
     raw_schur = g - f.conj().T @ hinv_f
-    raw_schur = (raw_schur + raw_schur.conj().T) / 2.0
     noise = 256.0 * big.dim * np.finfo(float).eps * (1.0 + small.norm)
-    schur_pinv = pinv(_psd_project(raw_schur, noise, tol, "Schur complement"), tol).entries
+    schur_pinv = pinv(clip_psd(raw_schur, noise, tol, "Schur complement"), tol).entries
     y1 = u1.conj().T @ s
     y0 = u0.conj().T @ s
     z0 = schur_pinv @ (y0 - hinv_f.conj().T @ y1)
@@ -140,20 +117,13 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
         prod = s - s @ _scaled_pseudo_apply(big, small, tol)
         amplified = small.norm
     else:
-        dec = eig_hermitian(a + b, tol)
-        w = dec.eigenvalues
-        keep = w > (tol.rank_rtol * max(float(w[0]), 0.0) if w.size else 0.0)
-        inv = np.zeros_like(w)
-        inv[keep] = 1.0 / w[keep]
-        pseudo = (dec.vectors * inv) @ dec.vectors.conj().T
-        prod = s - s @ pseudo @ s
+        pseudo = pinv(a + b, tol)
+        prod = s - s @ pseudo.entries @ s
         # Products against the pseudoinverse amplify round-off by up to
-        # ||S||^2 over the smallest retained eigenvalue.
-        smallest_kept = float(w[keep][-1]) if np.any(keep) else 1.0
-        amplified = small.norm**2 / smallest_kept
-    prod = (prod + prod.conj().T) / 2.0
+        # ||S||^2 times its largest eigenvalue.
+        amplified = small.norm**2 * float(eig_hermitian(pseudo, tol).eigenvalues[0])
     noise = 256.0 * a.dim * np.finfo(float).eps * (1.0 + a.norm + b.norm + amplified)
-    return _psd_project(prod, noise, tol, "parallel sum")
+    return clip_psd(prod, noise, tol, "parallel sum")
 
 
 def variational_value(
@@ -287,8 +257,7 @@ def spectral_ac_of_contraction(bt: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> 
     continuous part of the contraction with respect to its complement to the
     identity.
     """
-    dec = eig_hermitian(bt, tol)
-    w = dec.eigenvalues
+    w = eig_hermitian(bt, tol).eigenvalues
     if w.size:
         low, high = float(w[-1]), float(w[0])
         if low < -tol.psd_slack or high > 1.0 + tol.psd_slack:
@@ -297,4 +266,4 @@ def spectral_ac_of_contraction(bt: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> 
             )
     clipped = np.clip(w, 0.0, 1.0)
     mapped = np.where(clipped >= 1.0 - tol.rank_rtol, 0.0, clipped)
-    return PsdMatrix((dec.vectors * mapped) @ dec.vectors.conj().T, tol)
+    return spectral_map(bt, mapped, tol)

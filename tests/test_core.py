@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oplebesgue import (
     DEFAULT_TOL,
     DimensionMismatchError,
+    NumericalError,
     PsdMatrix,
     Tolerances,
     eig_hermitian,
@@ -16,7 +17,9 @@ from oplebesgue import (
     range_projection,
 )
 
-from helpers import random_psd
+from oplebesgue.core import clip_psd
+
+from helpers import random_psd, random_unitary
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -156,6 +159,26 @@ def test_construction_symmetrizes_tiny_asymmetry():
     assert np.array_equal(m.entries, m.entries.conj().T)
 
 
+def test_construction_rejects_asymmetry_beyond_the_squared_entry_range():
+    # entries above about 1.3e154 overflow a squaring norm, which once made
+    # the asymmetry bound infinite
+    with pytest.raises(ValueError, match="not Hermitian"):
+        PsdMatrix([[1e200, 1e200], [0.0, 1e200]])
+
+
+def test_construction_keeps_entries_near_the_float_limit_finite():
+    m = PsdMatrix([[1e308]])
+    assert np.all(np.isfinite(m.entries))
+    assert m.norm == 1e308
+    assert eig_hermitian(m).eigenvalues.tolist() == [1e308]
+
+
+def test_norm_matches_numpy_below_the_overflow_range():
+    for scale in (1.0, 1e150):
+        m = random_psd(np.random.default_rng(8), 7, rank=4, scale=scale)
+        assert m.norm == float(np.linalg.norm(m.entries))
+
+
 def test_entries_are_immutable():
     m = PsdMatrix.identity(2)
     with pytest.raises(ValueError):
@@ -209,3 +232,52 @@ def test_gram_matrices_always_construct(dim, seed):
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = PsdMatrix(x @ x.conj().T)
     assert m.dim == dim
+
+
+def test_support_drops_an_eigenvalue_exactly_at_the_cutoff():
+    tol = Tolerances(rank_rtol=0.25)  # cutoff 0.25 * 4 = 1, exact in binary
+    assert tol.support(np.array([4.0, 1.0, 0.5])).tolist() == [True, False, False]
+    m = PsdMatrix(np.diag([4.0, 1.0, 0.5]))
+    assert np.array_equal(range_projection(m, tol).entries, np.diag([1.0, 0.0, 0.0]))
+    assert np.array_equal(pinv(m, tol).entries, np.diag([0.25, 0.0, 0.0]))
+
+
+def test_support_of_an_empty_spectrum_is_empty():
+    keep = DEFAULT_TOL.support(np.zeros(0))
+    assert keep.shape == (0,) and keep.dtype == bool
+    assert range_projection(PsdMatrix.zero(0)).dim == 0
+
+
+@pytest.mark.parametrize("eigenvalues", [[0.0, 0.0], [0.0, -1e-300], [-1e-12, -2e-12]])
+def test_support_is_empty_when_the_largest_eigenvalue_is_not_positive(eigenvalues):
+    assert not DEFAULT_TOL.support(np.array(eigenvalues)).any()
+    zero = PsdMatrix.zero(2)
+    assert np.array_equal(pinv(zero).entries, np.zeros((2, 2)))
+    assert np.array_equal(range_projection(zero).entries, np.zeros((2, 2)))
+
+
+def _hermitian_with_spectrum(eigenvalues):
+    u = random_unitary(np.random.default_rng(6), len(eigenvalues))
+    h = (u * np.asarray(eigenvalues)) @ u.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("context", ["parallel sum", "Schur complement", "doubling limit"])
+def test_clip_rejects_negatives_beyond_the_noise(context):
+    h = _hermitian_with_spectrum([2.0, 1.0, -1e-6])
+    with pytest.raises(NumericalError, match=f"{context} lost positivity") as info:
+        clip_psd(h, 1e-9, DEFAULT_TOL, context)
+    assert info.value.residual == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_clip_keeps_the_clipped_spectrum_inside_the_noise(eigensolves):
+    h = _hermitian_with_spectrum([2.0, 1.0, -1e-12])
+    m = clip_psd(h, 1e-9, DEFAULT_TOL, "parallel sum")
+    assert len(eigensolves) == 1
+    dec = eig_hermitian(m)
+    assert len(eigensolves) == 1
+    assert dec.eigenvalues[2] == 0.0
+    assert np.allclose(dec.eigenvalues, [2.0, 1.0, 0.0], rtol=0.0, atol=1e-14)
+    fresh = np.sort(np.linalg.eigvalsh(m.entries))[::-1]
+    assert np.allclose(dec.eigenvalues, fresh, rtol=0.0, atol=1e-12 * m.norm)
+    assert np.allclose(m.entries, h, rtol=0.0, atol=1e-11)

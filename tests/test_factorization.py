@@ -5,27 +5,23 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oplebesgue import PsdMatrix, eig_hermitian, parallel_sum
-from oplebesgue.lebesgue import direct_decompose
+from oplebesgue import (
+    Functional,
+    PsdMatrix,
+    StarAlgebra,
+    auxiliary_space,
+    eig_hermitian,
+    functional_decompose,
+    gns,
+    parallel_sum,
+    pinv,
+    range_projection,
+    spectral_ac_of_contraction,
+)
+from oplebesgue.lebesgue import arlinskii_iterate, direct_decompose
 from oplebesgue.parallel import ando_ac_part
 
-from helpers import random_psd
-
-
-@pytest.fixture
-def eigensolves(monkeypatch):
-    """(solver name, copy of the input) for every call of numpy's Hermitian
-    eigensolvers."""
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-
-        def counted(h, *args, _name=name, _original=original, **kwargs):
-            calls.append((_name, np.array(h)))
-            return _original(h, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
+from helpers import random_contraction, random_psd
 
 
 def _tally(calls):
@@ -43,24 +39,62 @@ def _pair(calls):
 def test_parallel_sum_factors_the_sum_once(eigensolves):
     a, b = _pair(eigensolves)
     parallel_sum(a, b)
-    # one eigh for A + B (validation included), one eigh and one eigvalsh
-    # to project and validate the result
-    assert _tally(eigensolves) == {("eigh", 12): 2, ("eigvalsh", 12): 1}
+    # one eigh for A + B (validation included), one to clip the result,
+    # which is validated on the clipped spectrum
+    assert _tally(eigensolves) == {("eigh", 12): 2}
 
 
 def test_direct_eigensolve_count(eigensolves):
     a, b = _pair(eigensolves)
     direct_decompose(a, b)
-    assert _tally(eigensolves) == {("eigh", 12): 2, ("eigvalsh", 12): 4}
+    # eigh for A + B and a_tilde (b_tilde reuses its spectrum); eigvalsh
+    # validates sing and ac
+    assert _tally(eigensolves) == {("eigh", 12): 2, ("eigvalsh", 12): 2}
 
 
 def test_ando_eigensolve_count(eigensolves):
     a, b = _pair(eigensolves)
     result = ando_ac_part(a, b)
     assert result.converged and result.terms_used == 35
+    # the eigvalsh are the settling loop's two stop checks and the final
+    # validation of the settled limit
+    assert _tally(eigensolves) == {("eigh", 4): 30, ("eigh", 12): 43, ("eigvalsh", 12): 3}
+
+
+def test_iterate_eigensolve_count(eigensolves):
+    a, b = _pair(eigensolves)
+    result = arlinskii_iterate(a, b)
+    assert result.converged and result.iterations == 36
+    # two eigh per step (A + X and the clipped X : A), one eigvalsh per step
+    # to validate X - X : A, and one for the final ac part
+    assert _tally(eigensolves) == {("eigh", 12): 72, ("eigvalsh", 12): 37}
+
+
+def _block_pair(calls):
+    """Seeded rank-deficient block functionals on C^2 + C^3 (Gram dimension
+    13), built before ``calls`` is cleared."""
+    rng = np.random.default_rng(7)
+    algebra = StarAlgebra((2, 3))
+    w = Functional(algebra, (random_psd(rng, 2, rank=1), random_psd(rng, 3, rank=2)))
+    v = Functional(algebra, (random_psd(rng, 2, rank=2), random_psd(rng, 3, rank=1)))
+    calls.clear()
+    return w, v
+
+
+def test_functional_decompose_eigensolve_count(eigensolves):
+    w, v = _block_pair(eigensolves)
+    functional_decompose(w, v)
+    # eigvalsh validates both induced Grams, sing and ac; eigh factors the
+    # sum and a_tilde, then clips each rebuilt density once
     assert _tally(eigensolves) == {
-        ("eigh", 4): 60, ("eigvalsh", 4): 60, ("eigh", 12): 43, ("eigvalsh", 12): 38,
+        ("eigvalsh", 13): 4, ("eigh", 13): 2, ("eigh", 2): 2, ("eigh", 3): 2,
     }
+
+
+def test_gns_eigensolve_count(eigensolves):
+    w, _ = _block_pair(eigensolves)
+    assert gns(w).space_dim == 8
+    assert _tally(eigensolves) == {("eigvalsh", 13): 1, ("eigh", 13): 1}
 
 
 def test_ando_factors_the_reference_once_and_no_scaled_copy(eigensolves):
@@ -128,3 +162,35 @@ def test_power_of_two_scaling_keeps_the_psd_slack_check():
     m = PsdMatrix([[-0.9e-10]])
     with pytest.raises(ValueError, match="not positive semidefinite"):
         m * 2.0**20
+
+
+def _derived(kind):
+    rng = np.random.default_rng(4)
+    a, b = random_psd(rng, 9, rank=5), random_psd(rng, 9, rank=7)
+    if kind == "pinv":
+        return pinv(b)
+    if kind == "range_projection":
+        return range_projection(b)
+    if kind == "spectral_ac_of_contraction":
+        return spectral_ac_of_contraction(random_contraction(rng, 9, unit_eigs=2))
+    if kind == "b_tilde":
+        return auxiliary_space(a, b).b_tilde
+    if kind == "parallel_sum":
+        return parallel_sum(a, b)
+    # a norm ratio above 100 takes the kernel-deflated branch
+    return parallel_sum(a, 1e4 * b)
+
+
+@pytest.mark.parametrize("kind", [
+    "pinv", "range_projection", "spectral_ac_of_contraction", "b_tilde",
+    "parallel_sum", "parallel_sum_deflated",
+])
+def test_derived_matrices_keep_the_spectrum_they_were_built_from(eigensolves, kind):
+    m = _derived(kind)
+    eigensolves.clear()
+    dec = eig_hermitian(m)
+    assert eigensolves == []
+    fresh = np.sort(np.linalg.eigvalsh(m.entries))[::-1]
+    assert np.allclose(dec.eigenvalues, fresh, rtol=0.0, atol=1e-12 * m.norm)
+    rebuilt = (dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T
+    assert np.allclose(rebuilt, m.entries, rtol=0.0, atol=1e-12 * m.norm)
