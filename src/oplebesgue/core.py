@@ -66,11 +66,11 @@ class Tolerances:
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
 
     def support(self, eigenvalues: np.ndarray) -> np.ndarray:
-        """True where an eigenvalue (sorted descending) counts as nonzero: above
-        ``rank_rtol`` times the largest, so none when the largest is <= 0."""
+        """True where an eigenvalue counts as nonzero: above ``rank_rtol``
+        times the largest, so none when the largest is <= 0."""
         if eigenvalues.size == 0:
             return np.zeros(0, dtype=bool)
-        return eigenvalues > self.rank_rtol * max(float(eigenvalues[0]), 0.0)
+        return eigenvalues > self.rank_rtol * max(float(np.max(eigenvalues)), 0.0)
 
 
 DEFAULT_TOL = Tolerances()
@@ -97,8 +97,9 @@ class PsdMatrix:
         self._factored = None
 
     @classmethod
-    def _checked(cls, h: np.ndarray, factored: _Factorization) -> PsdMatrix:
-        """Wrap a validated Hermitian array together with its factorization."""
+    def _checked(cls, h: np.ndarray, factored: _Factorization | None) -> PsdMatrix:
+        """Wrap a validated Hermitian array together with its factorization
+        (None leaves it to the first ``eig_hermitian``)."""
         obj = cls.__new__(cls)
         h.flags.writeable = False
         obj._entries = h
@@ -275,6 +276,14 @@ def factor_psd(entries, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
     factored = _factor(h)
     _require_psd(factored.dec.eigenvalues, tol)
     return PsdMatrix._checked(h, factored)
+
+
+def psd_by_construction(entries, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
+    """A matrix that is PSD by how it was built, such as a direct sum of copies
+    of validated PSD blocks or a Gram product X X*: the constructor's square,
+    finiteness and Hermitian checks run, but no eigensolve, and the matrix is
+    factored only if ``eig_hermitian`` is called on it."""
+    return PsdMatrix._checked(_hermitian_part(entries, tol), None)
 
 
 def _from_spectrum(values, vectors, ortho: float, tol: Tolerances) -> PsdMatrix:

@@ -11,7 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, PsdMatrix, Tolerances, clip_psd, support_roots
+from .core import (
+    DEFAULT_TOL,
+    PsdMatrix,
+    Tolerances,
+    _frobenius,
+    clip_psd,
+    eig_hermitian,
+    psd_by_construction,
+)
 from .forms import SesquilinearForm, form_decompose, form_parallel_sum
 from .lebesgue import Method
 
@@ -183,17 +191,25 @@ def induced_form(w: Functional, tol: Tolerances = DEFAULT_TOL) -> SesquilinearFo
     """The form t(a, b) = w(b* a) over the matrix-unit basis.
 
     On a full matrix block with density rho the Gram restricts to
-    kron(I, rho^T), since w(E_ij* E_kl) = delta_ik rho[l, j].
+    kron(I, rho^T), since w(E_ij* E_kl) = delta_ik rho[l, j].  The Gram is a
+    direct sum of exact copies of the validated rho^T, so its spectrum is
+    theirs: it is PSD by construction and gets no eigensolve of its own.
     """
-    algebra = w.algebra
-    gram = np.zeros((algebra.total_dim, algebra.total_dim), dtype=np.complex128)
-    offset = 0
-    for rho, n in zip(w.densities, algebra.block_dims):
-        gram[offset : offset + n * n, offset : offset + n * n] = np.kron(
-            np.eye(n), rho.entries.T
-        )
-        offset += n * n
-    return SesquilinearForm(algebra.basis_labels(), PsdMatrix(gram, tol))
+    gram = _direct_sum([np.kron(np.eye(n), rho.entries.T)
+                        for rho, n in zip(w.densities, w.algebra.block_dims)])
+    return SesquilinearForm(w.algebra.basis_labels(), psd_by_construction(gram, tol))
+
+
+def _direct_sum(blocks) -> np.ndarray:
+    """The block-diagonal matrix with the given (possibly rectangular) blocks."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
+                   dtype=np.complex128)
+    row = col = 0
+    for b in blocks:
+        out[row : row + b.shape[0], col : col + b.shape[1]] = b
+        row += b.shape[0]
+        col += b.shape[1]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,26 +239,34 @@ class GnsTriplet:
 
 def _left_regular(a: AlgebraElement) -> np.ndarray:
     """Matrix of left multiplication by a on the coefficient space."""
-    algebra = a.algebra
-    out = np.zeros((algebra.total_dim, algebra.total_dim), dtype=np.complex128)
-    offset = 0
-    for blk, n in zip(a.blocks, algebra.block_dims):
-        out[offset : offset + n * n, offset : offset + n * n] = np.kron(blk, np.eye(n))
-        offset += n * n
-    return out
+    return _direct_sum([np.kron(blk, np.eye(n))
+                        for blk, n in zip(a.blocks, a.algebra.block_dims)])
 
 
 def gns(w: Functional, tol: Tolerances = DEFAULT_TOL) -> GnsTriplet:
     """GNS construction for a block-density functional.
 
-    The kernel of the induced form is detected with the relative rank cutoff;
-    the cyclic vector is the class of the unit.
+    The induced Gram is the direct sum of kron(I_n, rho^T) over the blocks,
+    so with rho = U diag(lam) U* its root factors are the direct sums of
+    kron(I_n, conj(U) sqrt(lam)) and kron(I_n, conj(U) / sqrt(lam)), and the
+    space is the direct sum of C^n (x) ran rho.  Each density is factored on
+    its own; the kernel is detected with the relative rank cutoff against the
+    largest eigenvalue over all blocks, the Gram's largest.  The cyclic
+    vector is the class of the unit.
     """
     algebra = w.algebra
-    root, from_coords = support_roots(induced_form(w, tol).gram, tol)
-    to_coords = root.conj().T
+    decs = [eig_hermitian(rho, tol) for rho in w.densities]
+    keep = tol.support(np.concatenate([dec.eigenvalues for dec in decs]))
+    roots, coords = [], []
+    for n, dec, kept in zip(algebra.block_dims, decs,
+                            np.split(keep, np.cumsum(algebra.block_dims)[:-1])):
+        root = np.sqrt(dec.eigenvalues[kept])
+        u = dec.vectors[:, kept].conj()
+        roots.append(np.kron(np.eye(n), u * root))
+        coords.append(np.kron(np.eye(n), u / root))
+    to_coords = _direct_sum(roots).conj().T
     zeta = to_coords @ algebra.coefficients(algebra.unit())
-    return GnsTriplet(algebra, root.shape[1], zeta, to_coords, from_coords)
+    return GnsTriplet(algebra, to_coords.shape[0], zeta, to_coords, _direct_sum(coords))
 
 
 def _density_from_values(values: np.ndarray, n: int, tol: Tolerances) -> PsdMatrix:
@@ -252,7 +276,7 @@ def _density_from_values(values: np.ndarray, n: int, tol: Tolerances) -> PsdMatr
     within psd_slack * (1 + ||rho||_F) below zero are clipped to zero.
     """
     rho = values.reshape(n, n).T
-    noise = tol.psd_slack * (1.0 + float(np.linalg.norm(rho)))
+    noise = tol.psd_slack * (1.0 + _frobenius(rho))
     return clip_psd(rho, noise, tol, "functional density")
 
 

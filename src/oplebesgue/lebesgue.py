@@ -16,8 +16,10 @@ from .core import (
     DEFAULT_TOL,
     PsdMatrix,
     Tolerances,
+    _frobenius,
     eig_hermitian,
     factor_psd,
+    psd_by_construction,
     range_projection,
     require_same_dim,
     spectral_map,
@@ -149,8 +151,9 @@ def direct_decompose(
     compression G_0 G_0* of the projection onto the kernel of a_tilde, and
     the absolutely continuous part is G_1 diag(1 - mu_1) G_1*, the
     compression of b_tilde minus that projection, over the kept
-    eigenvectors.  Both are built from that one eigendecomposition, so they
-    are positive up to the round-off of their own size, not of C's.  Kernel
+    eigenvectors.  Both are Gram products X X* built from that one
+    eigendecomposition, so they are positive by construction (no validating
+    eigensolve) and carry round-off of their own size, not of C's.  Kernel
     membership uses the relative rank cutoff, so a_tilde that vanishes
     entirely makes all of B singular.
     """
@@ -162,8 +165,8 @@ def direct_decompose(
     g = aux.embed @ dec.vectors
     g0 = g[:, ~keep]
     g1 = g[:, keep]
-    sing = PsdMatrix(g0 @ g0.conj().T, tol)
-    ac = PsdMatrix((g1 * np.clip(1.0 - mu[keep], 0.0, None)) @ g1.conj().T, tol)
+    sing = psd_by_construction(g0 @ g0.conj().T, tol)
+    ac = psd_by_construction((g1 * np.clip(1.0 - mu[keep], 0.0, None)) @ g1.conj().T, tol)
     return LebesgueDecomposition(ac, sing, Method.DIRECT, 0, 0.0, True)
 
 
@@ -177,7 +180,7 @@ def is_absolutely_continuous(
     """
     require_same_dim(b, a)
     p = range_projection(a, tol).entries
-    leak = float(np.linalg.norm(p @ b.entries @ p - b.entries))
+    leak = _frobenius(p @ b.entries @ p - b.entries)
     return leak <= tol.recon_tol * (1.0 + b.norm)
 
 

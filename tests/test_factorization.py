@@ -13,6 +13,7 @@ from oplebesgue import (
     eig_hermitian,
     functional_decompose,
     gns,
+    induced_form,
     parallel_sum,
     pinv,
     range_projection,
@@ -47,9 +48,9 @@ def test_parallel_sum_factors_the_sum_once(eigensolves):
 def test_direct_eigensolve_count(eigensolves):
     a, b = _pair(eigensolves)
     direct_decompose(a, b)
-    # eigh for A + B and a_tilde (b_tilde reuses its spectrum); eigvalsh
-    # validates sing and ac
-    assert _tally(eigensolves) == {("eigh", 12): 2, ("eigvalsh", 12): 2}
+    # eigh for A + B and a_tilde (b_tilde reuses its spectrum); sing and ac
+    # are Gram products, positive by construction
+    assert _tally(eigensolves) == {("eigh", 12): 2}
 
 
 def test_ando_eigensolve_count(eigensolves):
@@ -84,17 +85,22 @@ def _block_pair(calls):
 def test_functional_decompose_eigensolve_count(eigensolves):
     w, v = _block_pair(eigensolves)
     functional_decompose(w, v)
-    # eigvalsh validates both induced Grams, sing and ac; eigh factors the
-    # sum and a_tilde, then clips each rebuilt density once
-    assert _tally(eigensolves) == {
-        ("eigvalsh", 13): 4, ("eigh", 13): 2, ("eigh", 2): 2, ("eigh", 3): 2,
-    }
+    # eigh factors the sum and a_tilde, then clips each rebuilt density once;
+    # the induced Grams, sing and ac are positive by construction
+    assert _tally(eigensolves) == {("eigh", 13): 2, ("eigh", 2): 2, ("eigh", 3): 2}
+
+
+def test_induced_form_runs_no_eigensolve(eigensolves):
+    w, _ = _block_pair(eigensolves)
+    induced_form(w)
+    assert eigensolves == []
 
 
 def test_gns_eigensolve_count(eigensolves):
     w, _ = _block_pair(eigensolves)
     assert gns(w).space_dim == 8
-    assert _tally(eigensolves) == {("eigvalsh", 13): 1, ("eigh", 13): 1}
+    # one eigh per density; the 13-dim Gram is never formed or factored
+    assert _tally(eigensolves) == {("eigh", 2): 1, ("eigh", 3): 1}
 
 
 def test_ando_factors_the_reference_once_and_no_scaled_copy(eigensolves):

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from oplebesgue import (
+    NumericalError,
+    PsdMatrix,
+    SesquilinearForm,
     StarAlgebra,
     decompose,
     evaluate,
@@ -265,3 +268,14 @@ def test_decompose_requires_same_algebra():
     v = functional(TWO_SCALARS, [[[1.0]], [[1.0]]])
     with pytest.raises(ValueError, match="mismatch"):
         functional_decompose(w, v)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_rebuilt_density_keeps_its_positivity_check_above_the_norm_overflow(scale):
+    # a PSD Gram that is no induced form: its values on the unit rebuild the
+    # indefinite density [[1, 3/2], [3/2, 0]] (times scale), whose norm
+    # squared overflows above about 1.3e154
+    v = np.array([1.0, 3.0, 0.0, 0.0])
+    form = SesquilinearForm(M2.basis_labels(), PsdMatrix(scale * np.outer(v, v)))
+    with pytest.raises(NumericalError, match="functional density lost positivity"):
+        functional_from_form(M2, form)

@@ -343,3 +343,13 @@ def test_predicates_agree_with_decomposition_oracle():
         scale = 1e-6 * (1.0 + b.norm)
         assert is_absolutely_continuous(b, a) == (dec.sing.norm <= scale)
         assert is_singular(a, b) == (dec.ac.norm <= scale)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_absolute_continuity_survives_entries_above_the_norm_overflow(scale):
+    # ran B = ran A; the leak is round-off at B's scale, whose square
+    # overflows above about 1.3e154
+    q = np.array([1.0, 2.0, 2.0]) / 3.0
+    a = PsdMatrix(np.outer(q, q))
+    assert is_absolutely_continuous(PsdMatrix(scale * np.outer(q, q)), a)
+    assert not is_absolutely_continuous(PsdMatrix(scale * np.eye(3)), a)
