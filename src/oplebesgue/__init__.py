@@ -20,7 +20,6 @@ from .core import (
     range_projection,
 )
 from .forms import (
-    FormDecomposition,
     SesquilinearForm,
     form_decompose,
     form_parallel_sum,
@@ -29,7 +28,6 @@ from .forms import (
 from .functionals import (
     AlgebraElement,
     Functional,
-    FunctionalDecomposition,
     GnsTriplet,
     StarAlgebra,
     evaluate,
@@ -69,9 +67,7 @@ __all__ = [
     "DEFAULT_TOL",
     "DimensionMismatchError",
     "EigenDecomposition",
-    "FormDecomposition",
     "Functional",
-    "FunctionalDecomposition",
     "GnsTriplet",
     "LebesgueDecomposition",
     "Method",

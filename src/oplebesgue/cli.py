@@ -16,17 +16,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_TOL, PsdMatrix, Tolerances, range_projection
-from .forms import form_decompose, form_parallel_sum
-from .functionals import Functional, functional_decompose, functional_parallel_sum
+from .core import DEFAULT_TOL, PsdMatrix, Tolerances, _frobenius, psd_by_construction
+from .forms import SesquilinearForm, form_decompose, form_parallel_sum
+from .functionals import (
+    Functional,
+    _direct_sum,
+    functional_decompose,
+    functional_parallel_sum,
+)
 from .lebesgue import (
     Method,
-    SINGULARITY_RTOL,
     arlinskii_step,
     auxiliary_space,
     decompose,
-    is_absolutely_continuous,
-    is_singular,
+    range_leak,
+    range_threshold,
+    singularity_threshold,
 )
 from .parallel import parallel_sum
 from . import selftest as selftest_suite
@@ -157,25 +162,36 @@ def _load_problem(args) -> tuple[ProblemFile, Tolerances, str]:
     return problem, _cli_tolerances(args, problem.tolerances), digest
 
 
-def _block_diag(functional: Functional, tol: Tolerances) -> PsdMatrix:
-    dims = functional.algebra.block_dims
-    total = sum(dims)
-    out = np.zeros((total, total), dtype=np.complex128)
-    offset = 0
-    for rho, n in zip(functional.densities, dims):
-        out[offset : offset + n, offset : offset + n] = rho.entries
-        offset += n
-    return PsdMatrix(out, tol)
-
-
-def _matrix_pair(problem: ProblemFile, tol: Tolerances) -> tuple[PsdMatrix, PsdMatrix]:
-    """Reference and target matrices backing the diagnostics for every kind."""
-    p = problem.problem
+def _kind_calls(p):
+    """Reference and target of the problem's kind, its basis fields, and its
+    parallel sum and decomposition, called in the kind's own argument order."""
     if isinstance(p, OperatorPairProblem):
-        return p.a, p.b
+        return (p.a, p.b, {},
+                lambda tol: parallel_sum(p.a, p.b, tol),
+                lambda method, tol: decompose(p.a, p.b, method, tol))
     if isinstance(p, FormPairProblem):
-        return p.w.gram, p.t.gram
-    return _block_diag(p.v, tol), _block_diag(p.w, tol)
+        return (p.w, p.t, {"basis": list(p.t.basis_labels)},
+                lambda tol: form_parallel_sum(p.t, p.w, tol),
+                lambda method, tol: form_decompose(p.t, p.w, method, tol))
+    return (p.v, p.w, {"block_dims": list(p.algebra.block_dims)},
+            lambda tol: functional_parallel_sum(p.w, p.v, tol),
+            lambda method, tol: functional_decompose(p.w, p.v, method, tol))
+
+
+def _as_matrix(x) -> PsdMatrix:
+    """The matrix backing the diagnostics: an operator itself, a form's Gram,
+    or the direct sum of a functional's (validated) densities."""
+    if isinstance(x, PsdMatrix):
+        return x
+    if isinstance(x, SesquilinearForm):
+        return x.gram
+    return psd_by_construction(_direct_sum([rho.entries for rho in x.densities]))
+
+
+def _to_json(x):
+    if isinstance(x, Functional):
+        return [matrix_to_json(rho.entries) for rho in x.densities]
+    return matrix_to_json(_as_matrix(x).entries)
 
 
 def _min_eig(diff: np.ndarray) -> float:
@@ -185,26 +201,10 @@ def _min_eig(diff: np.ndarray) -> float:
 
 
 def _cmd_psum(args, problem, tol, digest):
-    p = problem.problem
-    a_mat, b_mat = _matrix_pair(problem, tol)
-    if isinstance(p, OperatorPairProblem):
-        summed = parallel_sum(p.a, p.b, tol)
-        result = {"parallel_sum": matrix_to_json(summed.entries)}
-        summed_mat = summed
-    elif isinstance(p, FormPairProblem):
-        summed_form = form_parallel_sum(p.t, p.w, tol)
-        result = {
-            "basis": list(p.t.basis_labels),
-            "parallel_sum": matrix_to_json(summed_form.gram.entries),
-        }
-        summed_mat = parallel_sum(a_mat, b_mat, tol)
-    else:
-        summed_fn = functional_parallel_sum(p.w, p.v, tol)
-        result = {
-            "block_dims": list(p.algebra.block_dims),
-            "parallel_sum": [matrix_to_json(rho.entries) for rho in summed_fn.densities],
-        }
-        summed_mat = _block_diag(summed_fn, tol)
+    reference, target, fields, psum, _ = _kind_calls(problem.problem)
+    summed = psum(tol)
+    a_mat, b_mat, summed_mat = _as_matrix(reference), _as_matrix(target), _as_matrix(summed)
+    result = {**fields, "parallel_sum": _to_json(summed)}
     diagnostics = {
         "singularity_norm": summed_mat.norm,
         "min_eig_first_minus_sum": _min_eig(a_mat.entries - summed_mat.entries),
@@ -218,45 +218,22 @@ def _decomposition_views(problem, tol, method):
     """Run the decomposition for the problem's kind.
 
     Returns the result payload, matrix-level (ac, sing) for diagnostics, and
-    the decomposition metadata.
+    the decomposition itself for its metadata.
     """
-    p = problem.problem
-    if isinstance(p, OperatorPairProblem):
-        dec = decompose(p.a, p.b, method, tol)
-        result = {
-            "ac": matrix_to_json(dec.ac.entries),
-            "sing": matrix_to_json(dec.sing.entries),
-        }
-        return result, dec.ac, dec.sing, dec
-    if isinstance(p, FormPairProblem):
-        dec = form_decompose(p.t, p.w, method, tol)
-        result = {
-            "basis": list(p.t.basis_labels),
-            "ac": matrix_to_json(dec.ac.gram.entries),
-            "sing": matrix_to_json(dec.sing.gram.entries),
-        }
-        return result, dec.ac.gram, dec.sing.gram, dec
-    dec = functional_decompose(p.w, p.v, method, tol)
-    result = {
-        "block_dims": list(p.algebra.block_dims),
-        "ac": [matrix_to_json(rho.entries) for rho in dec.ac.densities],
-        "sing": [matrix_to_json(rho.entries) for rho in dec.sing.densities],
-    }
-    return result, _block_diag(dec.ac, tol), _block_diag(dec.sing, tol), dec
+    _, _, fields, _, decompose_kind = _kind_calls(problem.problem)
+    dec = decompose_kind(method, tol)
+    result = {**fields, "ac": _to_json(dec.ac), "sing": _to_json(dec.sing)}
+    return result, _as_matrix(dec.ac), _as_matrix(dec.sing), dec
 
 
 def _cmd_decompose(args, problem, tol, digest):
-    a_mat, b_mat = _matrix_pair(problem, tol)
+    reference, target, *_ = _kind_calls(problem.problem)
+    a_mat, b_mat = _as_matrix(reference), _as_matrix(target)
     result, ac_mat, sing_mat, meta = _decomposition_views(problem, tol, args.method)
-    proj = range_projection(a_mat, tol).entries
     diagnostics = {
-        "sum_residual": float(
-            np.linalg.norm(b_mat.entries - ac_mat.entries - sing_mat.entries)
-        ),
+        "sum_residual": _frobenius(b_mat.entries - ac_mat.entries - sing_mat.entries),
         "singularity_norm": parallel_sum(a_mat, sing_mat, tol).norm,
-        "range_leak": float(
-            np.linalg.norm(ac_mat.entries - proj @ ac_mat.entries @ proj)
-        ),
+        "range_leak": range_leak(ac_mat, a_mat, tol),
         "iterations": meta.iterations,
         "stopping_residual": meta.residual,
         "converged": meta.converged,
@@ -270,7 +247,7 @@ def _cmd_decompose(args, problem, tol, digest):
             flags.append(other_meta.converged)
         names = sorted(sings)
         diagnostics["cross_method_max_discrepancy"] = max(
-            float(np.linalg.norm(sings[x] - sings[y]))
+            _frobenius(sings[x] - sings[y])
             for i, x in enumerate(names)
             for y in names[i + 1 :]
         )
@@ -280,11 +257,9 @@ def _cmd_decompose(args, problem, tol, digest):
 
 
 def _cmd_check(args, problem, tol, digest):
-    a_mat, b_mat = _matrix_pair(problem, tol)
-    proj = range_projection(a_mat, tol).entries
-    range_residual = float(
-        np.linalg.norm(proj @ b_mat.entries @ proj - b_mat.entries)
-    )
+    reference, target, *_ = _kind_calls(problem.problem)
+    a_mat, b_mat = _as_matrix(reference), _as_matrix(target)
+    range_residual = range_leak(b_mat, a_mat, tol)
     summed = parallel_sum(a_mat, b_mat, tol)
     aux = auxiliary_space(a_mat, b_mat, tol)
     j = aux.embed
@@ -299,20 +274,20 @@ def _cmd_check(args, problem, tol, digest):
                 eye - aux.b_tilde.entries + current.entries,
                 current.entries @ current.entries,
             )
-            recursion_residual = max(
-                recursion_residual, float(np.linalg.norm(nxt.entries - predicted))
-            )
+            recursion_residual = max(recursion_residual, _frobenius(nxt.entries - predicted))
             current = nxt
+    range_bound = range_threshold(b_mat, tol)
+    singularity_bound = singularity_threshold(a_mat, b_mat)
     result = {
-        "absolutely_continuous": is_absolutely_continuous(b_mat, a_mat, tol),
-        "singular": is_singular(a_mat, b_mat, tol),
+        "absolutely_continuous": range_residual <= range_bound,
+        "singular": summed.norm <= singularity_bound,
     }
     diagnostics = {
         "range_residual": range_residual,
-        "range_threshold": tol.recon_tol * (1.0 + b_mat.norm),
+        "range_threshold": range_bound,
         "parallel_norm": summed.norm,
-        "singularity_threshold": SINGULARITY_RTOL * (1.0 + a_mat.norm + b_mat.norm),
-        "factored_parallel_sum_residual": float(np.linalg.norm(factored - summed.entries)),
+        "singularity_threshold": singularity_bound,
+        "factored_parallel_sum_residual": _frobenius(factored - summed.entries),
         "contraction_recursion_residual": recursion_residual,
     }
     report = Report("check", digest, problem.kind, None, result, diagnostics, 0.0)

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DEFAULT_TOL, PsdMatrix, Tolerances
-from .lebesgue import Method, decompose
+from .lebesgue import LebesgueDecomposition, Method, decompose
 from .parallel import parallel_sum
 
 __all__ = [
-    "FormDecomposition",
     "SesquilinearForm",
     "form_decompose",
     "form_parallel_sum",
@@ -78,36 +78,19 @@ def form_parallel_sum(
     return SesquilinearForm(t.basis_labels, parallel_sum(t.gram, w.gram, tol))
 
 
-@dataclass(frozen=True, eq=False)
-class FormDecomposition:
-    """Splitting t = ac + sing into w-closable and w-singular parts."""
-
-    ac: SesquilinearForm
-    sing: SesquilinearForm
-    method: Method
-    iterations: int
-    residual: float
-    converged: bool = True
-
-
 def form_decompose(
     t: SesquilinearForm,
     w: SesquilinearForm,
     method: Method | str = Method.DIRECT,
     tol: Tolerances = DEFAULT_TOL,
-) -> FormDecomposition:
-    """Lebesgue decomposition of the form t with respect to w.
+) -> LebesgueDecomposition[SesquilinearForm]:
+    """Lebesgue decomposition of the form t into w-closable and w-singular parts.
 
     Delegates to the matrix decomposition of the Gram matrices without any
-    re-projection, so the parts are exactly the matrix-level parts.
+    re-projection, so the parts are exactly the matrix-level parts and the
+    metadata is the matrix route's.
     """
     _require_same_basis(t, w)
     dec = decompose(w.gram, t.gram, method, tol)
-    return FormDecomposition(
-        SesquilinearForm(t.basis_labels, dec.ac),
-        SesquilinearForm(t.basis_labels, dec.sing),
-        dec.method,
-        dec.iterations,
-        dec.residual,
-        dec.converged,
-    )
+    return dataclasses.replace(dec, ac=SesquilinearForm(t.basis_labels, dec.ac),
+                               sing=SesquilinearForm(t.basis_labels, dec.sing))

@@ -1,12 +1,13 @@
 """Representable functionals on finite direct sums of matrix algebras.
 
 A functional is stored through its block densities, w(a) = sum_k tr(rho_k a_k).
-The GNS construction, parallel sum, and Lebesgue decomposition all reduce to
-the form machinery over the matrix-unit basis.
+The parallel sum and Lebesgue decomposition reduce to the form machinery over
+the matrix-unit basis; the GNS construction factors the densities directly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +22,11 @@ from .core import (
     psd_by_construction,
 )
 from .forms import SesquilinearForm, form_decompose, form_parallel_sum
-from .lebesgue import Method
+from .lebesgue import LebesgueDecomposition, Method
 
 __all__ = [
     "AlgebraElement",
     "Functional",
-    "FunctionalDecomposition",
     "GnsTriplet",
     "StarAlgebra",
     "evaluate",
@@ -216,57 +216,45 @@ def _direct_sum(blocks) -> np.ndarray:
 class GnsTriplet:
     """Cyclic representation (H_w, pi_w, zeta_w) with w(a) = <pi_w(a) zeta, zeta>.
 
-    The space is the algebra modulo the kernel of the induced form; elements
-    are represented by left multiplication expressed in an orthonormal basis
-    of equivalence classes of matrix units.
+    With rho_k = U_k diag(lam_k) U_k* over its r_k kept eigenvalues, the
+    space is the direct sum of C^{n_k} (x) C^{r_k}: the class of a is the
+    row-major vec(a_k U_k sqrt(lam_k)) in each block, so left multiplication
+    by a is pi_w(a) = sum_k a_k (x) I_{r_k}.
     """
 
     algebra: StarAlgebra
-    space_dim: int
+    ranks: tuple[int, ...]
     cyclic_vector: np.ndarray
-    _to_coords: np.ndarray
-    _from_coords: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.cyclic_vector, self._to_coords, self._from_coords):
-            arr.flags.writeable = False
+        self.cyclic_vector.flags.writeable = False
+
+    @property
+    def space_dim(self) -> int:
+        return sum(n * r for n, r in zip(self.algebra.block_dims, self.ranks))
 
     def represent(self, a: AlgebraElement) -> np.ndarray:
         """The matrix of pi_w(a) on the GNS space."""
         _require_same_algebra(self.algebra, a.algebra)
-        return self._to_coords @ _left_regular(a) @ self._from_coords
-
-
-def _left_regular(a: AlgebraElement) -> np.ndarray:
-    """Matrix of left multiplication by a on the coefficient space."""
-    return _direct_sum([np.kron(blk, np.eye(n))
-                        for blk, n in zip(a.blocks, a.algebra.block_dims)])
+        return _direct_sum([np.kron(blk, np.eye(r)) for blk, r in zip(a.blocks, self.ranks)])
 
 
 def gns(w: Functional, tol: Tolerances = DEFAULT_TOL) -> GnsTriplet:
     """GNS construction for a block-density functional.
 
     The induced Gram is the direct sum of kron(I_n, rho^T) over the blocks,
-    so with rho = U diag(lam) U* its root factors are the direct sums of
-    kron(I_n, conj(U) sqrt(lam)) and kron(I_n, conj(U) / sqrt(lam)), and the
-    space is the direct sum of C^n (x) ran rho.  Each density is factored on
-    its own; the kernel is detected with the relative rank cutoff against the
-    largest eigenvalue over all blocks, the Gram's largest.  The cyclic
-    vector is the class of the unit.
+    so its kernel is the direct sum of C^n (x) ker rho, and each density is
+    factored on its own.  The kernel is detected with the relative rank
+    cutoff against the largest eigenvalue over all blocks, the Gram's
+    largest.  The cyclic vector is the class of the unit, the row-major
+    vec(U sqrt(lam)) of each block.
     """
-    algebra = w.algebra
     decs = [eig_hermitian(rho, tol) for rho in w.densities]
     keep = tol.support(np.concatenate([dec.eigenvalues for dec in decs]))
-    roots, coords = [], []
-    for n, dec, kept in zip(algebra.block_dims, decs,
-                            np.split(keep, np.cumsum(algebra.block_dims)[:-1])):
-        root = np.sqrt(dec.eigenvalues[kept])
-        u = dec.vectors[:, kept].conj()
-        roots.append(np.kron(np.eye(n), u * root))
-        coords.append(np.kron(np.eye(n), u / root))
-    to_coords = _direct_sum(roots).conj().T
-    zeta = to_coords @ algebra.coefficients(algebra.unit())
-    return GnsTriplet(algebra, to_coords.shape[0], zeta, to_coords, _direct_sum(coords))
+    kept = np.split(keep, np.cumsum(w.algebra.block_dims)[:-1])
+    zeta = np.concatenate([(dec.vectors[:, k] * np.sqrt(dec.eigenvalues[k])).reshape(-1)
+                           for dec, k in zip(decs, kept)])
+    return GnsTriplet(w.algebra, tuple(int(np.count_nonzero(k)) for k in kept), zeta)
 
 
 def _density_from_values(values: np.ndarray, n: int, tol: Tolerances) -> PsdMatrix:
@@ -305,40 +293,19 @@ def functional_parallel_sum(
     return functional_from_form(w.algebra, summed, tol)
 
 
-@dataclass(frozen=True, eq=False)
-class FunctionalDecomposition:
-    """Splitting w = ac + sing into v-absolutely continuous and v-singular
-    representable parts; unpacks as the pair (ac, sing)."""
-
-    ac: Functional
-    sing: Functional
-    method: Method
-    iterations: int
-    residual: float
-    converged: bool = True
-
-    def __iter__(self):
-        return iter((self.ac, self.sing))
-
-
 def functional_decompose(
     w: Functional,
     v: Functional,
     method: Method | str = Method.DIRECT,
     tol: Tolerances = DEFAULT_TOL,
-) -> FunctionalDecomposition:
-    """Lebesgue decomposition of w with respect to v.
+) -> LebesgueDecomposition[Functional]:
+    """Lebesgue decomposition of w into v-absolutely continuous and
+    v-singular representable parts.
 
     Decomposes the induced forms and recovers both parts as block-density
     functionals; the singular part satisfies sing : v = 0.
     """
     _require_same_algebra(w.algebra, v.algebra)
     dec = form_decompose(induced_form(w, tol), induced_form(v, tol), method, tol)
-    return FunctionalDecomposition(
-        functional_from_form(w.algebra, dec.ac, tol),
-        functional_from_form(w.algebra, dec.sing, tol),
-        dec.method,
-        dec.iterations,
-        dec.residual,
-        dec.converged,
-    )
+    return dataclasses.replace(dec, ac=functional_from_form(w.algebra, dec.ac, tol),
+                               sing=functional_from_form(w.algebra, dec.sing, tol))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Generic, TypeVar
 
 import numpy as np
 
@@ -44,6 +45,9 @@ __all__ = [
 # Relative threshold on ||A : B||_F deciding mutual singularity.
 SINGULARITY_RTOL = 1e-8
 
+# The parts' type: PsdMatrix, or the form or functional a reduction lifts them to.
+Part = TypeVar("Part")
+
 
 class Method(str, enum.Enum):
     """Decomposition route."""
@@ -54,16 +58,21 @@ class Method(str, enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class LebesgueDecomposition:
+class LebesgueDecomposition(Generic[Part]):
     """Splitting B = ac + sing into parts absolutely continuous / singular
-    relative to the reference matrix, with method metadata."""
+    relative to the reference, with method metadata; unpacks as the pair
+    (ac, sing).  The parts are matrices, or the forms or functionals whose
+    decomposition reduces to the matrix one."""
 
-    ac: PsdMatrix
-    sing: PsdMatrix
+    ac: Part
+    sing: Part
     method: Method
     iterations: int
     residual: float
     converged: bool = True
+
+    def __iter__(self):
+        return iter((self.ac, self.sing))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,24 +179,40 @@ def direct_decompose(
     return LebesgueDecomposition(ac, sing, Method.DIRECT, 0, 0.0, True)
 
 
+def range_leak(m: PsdMatrix, a: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> float:
+    """||P M P - M||_F with P the projection onto the range of A."""
+    require_same_dim(m, a)
+    p = range_projection(a, tol).entries
+    return _frobenius(p @ m.entries @ p - m.entries)
+
+
+def range_threshold(b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Largest range leak of B that still counts as absolutely continuous."""
+    return tol.recon_tol * b.norm
+
+
+def singularity_threshold(a: PsdMatrix, b: PsdMatrix) -> float:
+    """Largest ||A : B||_F that still counts as mutual singularity."""
+    return SINGULARITY_RTOL * (a.norm + b.norm)
+
+
 def is_absolutely_continuous(
     b: PsdMatrix, a: PsdMatrix, tol: Tolerances = DEFAULT_TOL
 ) -> bool:
     """Whether B is absolutely continuous with respect to A.
 
     Finite-dimensional criterion: compressing B to the range of A leaves it
-    unchanged (range containment).
+    unchanged (range containment), up to ``range_threshold``, which scales
+    with B.
     """
-    require_same_dim(b, a)
-    p = range_projection(a, tol).entries
-    leak = _frobenius(p @ b.entries @ p - b.entries)
-    return leak <= tol.recon_tol * (1.0 + b.norm)
+    return range_leak(b, a, tol) <= range_threshold(b, tol)
 
 
 def is_singular(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether A and B are mutually singular, i.e. A : B vanishes."""
+    """Whether A and B are mutually singular, i.e. A : B vanishes up to
+    ``singularity_threshold``, which scales with A and B."""
     require_same_dim(a, b)
-    return parallel_sum(a, b, tol).norm <= SINGULARITY_RTOL * (1.0 + a.norm + b.norm)
+    return parallel_sum(a, b, tol).norm <= singularity_threshold(a, b)
 
 
 def decompose(

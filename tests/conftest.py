@@ -7,9 +7,10 @@ import pytest
 @pytest.fixture
 def eigensolves(monkeypatch):
     """(solver name, copy of the input) for every call of numpy's Hermitian
-    eigensolvers."""
+    eigensolvers and of its SVD, so that a pinned tally cannot hide work
+    moved into an SVD."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "svd"):
         original = getattr(np.linalg, name)
 
         def counted(h, *args, _name=name, _original=original, **kwargs):

@@ -3,13 +3,15 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oplebesgue import cli
+from oplebesgue import PsdMatrix, cli, lebesgue
 from oplebesgue import selftest as selftest_suite
+from oplebesgue.lebesgue import range_threshold, singularity_threshold
 from oplebesgue.serialize import parse_problem_text, serialize_problem
 
 DATA = Path(__file__).parent / "data"
@@ -139,6 +141,76 @@ def test_check_identical_invertible_pair(capsys, tmp_path):
     assert code == 0
     assert report["result"]["singular"] is False
     assert report["result"]["absolutely_continuous"] is True
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+def test_check_flags_do_not_depend_on_scale(capsys, tmp_path, scale):
+    # both thresholds scale with the operands, so a nonzero B at 1e-9 is not
+    # singular to itself, nor absolutely continuous to an orthogonal A
+    cases = [
+        (np.eye(2), np.eye(2), {"singular": False, "absolutely_continuous": True}),
+        (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+         {"singular": True, "absolutely_continuous": False}),
+    ]
+    for a, b, expected in cases:
+        doc = operator_doc(scale * a, scale * b)
+        code, report, _ = run_json(capsys, "check", write_problem(tmp_path, doc))
+        assert code == 0
+        assert report["result"] == expected
+        a_mat, b_mat = PsdMatrix(scale * a), PsdMatrix(scale * b)
+        assert report["diagnostics"]["range_threshold"] == range_threshold(b_mat)
+        assert report["diagnostics"]["singularity_threshold"] == singularity_threshold(a_mat, b_mat)
+
+
+@pytest.mark.parametrize("command", ["check", "decompose"])
+def test_diagnostics_stay_finite_above_the_norm_overflow(capsys, tmp_path, command):
+    # ran B = ran A with ||B|| = 1e200: a norm that squares the entries
+    # overflows to inf, which JSON cannot carry
+    q = np.array([1.0, 2.0, 2.0]) / 3.0
+    doc = operator_doc(np.outer(q, q), 1e200 * np.outer(q, q))
+    code, report, err = run_json(capsys, command, write_problem(tmp_path, doc))
+    assert code == 0, err
+    values = [v for v in report["diagnostics"].values() if not isinstance(v, bool)]
+    assert values and np.all(np.isfinite(values))
+
+
+def test_form_psum_runs_one_parallel_sum(capsys, eigensolves):
+    code, _, _ = run_json(capsys, "psum", str(DATA / "form_pair.json"))
+    assert code == 0
+    # eigh factors the sum and clips the product; eigvalsh validates the two
+    # input Grams and computes the two min-eig diagnostics
+    assert Counter(name for name, _ in eigensolves) == {"eigh": 2, "eigvalsh": 4}
+
+
+@pytest.mark.parametrize("args,expected", [
+    (("psum",), 2),
+    (("decompose",), 0),
+    (("decompose", "--cross-check"), 0),
+], ids=["psum", "decompose", "cross-check"])
+def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolves, args,
+                                                              expected):
+    # the direct sum of validated densities (blocks 2 and 1) is PSD by
+    # construction; psum's only size-3 eigvalsh are its min-eig diagnostics
+    code, _, _ = run_json(capsys, *args, str(DATA / "functional_pair.json"))
+    assert code == 0
+    assert sum(name == "eigvalsh" and h.shape[0] == 3 for name, h in eigensolves) == expected
+
+
+def test_check_runs_one_parallel_sum_of_the_pair(capsys, monkeypatch):
+    problem = parse_problem_text((DATA / "operator_pair.json").read_text(encoding="utf-8"))
+    a, b = problem.problem.a.entries, problem.problem.b.entries
+    calls = []
+    original = cli.parallel_sum
+
+    def counted(x, y, *args, **kwargs):
+        calls.append((x.entries, y.entries))
+        return original(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "parallel_sum", counted)
+    monkeypatch.setattr(lebesgue, "parallel_sum", counted)
+    code, _, _ = run_json(capsys, "check", str(DATA / "operator_pair.json"))
+    assert code == 0
+    assert sum(np.array_equal(x, a) and np.array_equal(y, b) for x, y in calls) == 1
 
 
 def test_missing_file_exits_2(capsys):

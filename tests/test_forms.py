@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from oplebesgue import (
+    LebesgueDecomposition,
     PsdMatrix,
     SesquilinearForm,
+    decompose,
     form_decompose,
     form_parallel_sum,
     induced_operator,
@@ -133,6 +135,24 @@ def test_reduction_is_bitwise_delegation():
     dec_matrix = decompose(w.gram, t.gram, "direct")
     assert np.array_equal(dec_form.ac.gram.entries, dec_matrix.ac.entries)
     assert np.array_equal(dec_form.sing.gram.entries, dec_matrix.sing.entries)
+
+
+@pytest.mark.parametrize("method", ["direct", "iterate", "ando"])
+def test_form_decomposition_is_the_matrix_result(method):
+    rng = np.random.default_rng(55)
+    labels = ("e1", "e2", "e3")
+    t = SesquilinearForm(labels, random_psd(rng, 3))
+    w = SesquilinearForm(labels, random_psd(rng, 3, rank=2))
+    dec = form_decompose(t, w, method)
+    matrix = decompose(w.gram, t.gram, method)
+    assert isinstance(dec, LebesgueDecomposition)
+    assert (dec.method, dec.iterations, dec.residual, dec.converged) == (
+        matrix.method, matrix.iterations, matrix.residual, matrix.converged)
+    ac, sing = dec
+    assert ac is dec.ac and sing is dec.sing
+    assert ac.basis_labels == sing.basis_labels == labels
+    assert np.array_equal(ac.gram.entries, matrix.ac.entries)
+    assert np.array_equal(sing.gram.entries, matrix.sing.entries)
 
 
 def test_closable_part_of_diagonal_forms_splits_by_support():

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import block_diag
+
 from oplebesgue import (
+    LebesgueDecomposition,
     NumericalError,
     PsdMatrix,
     SesquilinearForm,
@@ -122,6 +125,21 @@ def test_gns_m2_rank_two_defining_representation():
         )
 
 
+def test_gns_represents_a_as_blockwise_kron_with_the_identity():
+    rng = np.random.default_rng(63)
+    algebra = StarAlgebra((2, 3))
+    w = functional(algebra, [random_psd(rng, 2, rank=1).entries,
+                             random_psd(rng, 3, rank=2).entries])
+    triplet = gns(w)
+    assert triplet.ranks == (1, 2)
+    assert triplet.space_dim == 2 * 1 + 3 * 2
+    a = algebra.element([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                         for n in algebra.block_dims])
+    expected = block_diag(np.kron(a.blocks[0], np.eye(1)), np.kron(a.blocks[1], np.eye(2)))
+    assert np.array_equal(triplet.represent(a), expected)
+    assert np.array_equal(triplet.represent(algebra.unit()), np.eye(triplet.space_dim))
+
+
 def test_gns_reconstruction_and_homomorphism():
     rng = np.random.default_rng(62)
     for _ in range(5):
@@ -204,6 +222,21 @@ def test_decompose_with_zero_weight():
     ac, sing = functional_decompose(w, v, "iterate")
     assert ac.densities[0].norm <= 1e-12
     assert np.allclose(sing.densities[0].entries, w.densities[0].entries, atol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["direct", "iterate", "ando"])
+def test_functional_decomposition_carries_the_matrix_metadata(method):
+    rng = np.random.default_rng(67)
+    w = random_functional(rng)
+    v = functional(MIXED, [random_psd(rng, n, rank=n - 1).entries for n in MIXED.block_dims])
+    dec = functional_decompose(w, v, method)
+    matrix = decompose(induced_form(v).gram, induced_form(w).gram, method)
+    assert isinstance(dec, LebesgueDecomposition)
+    assert (dec.method, dec.iterations, dec.residual, dec.converged) == (
+        matrix.method, matrix.iterations, matrix.residual, matrix.converged)
+    ac, sing = dec
+    assert ac is dec.ac and sing is dec.sing
+    assert ac.algebra == sing.algebra == MIXED
 
 
 def test_decompose_blockwise_scalars():

@@ -205,6 +205,8 @@ def test_direct_kernel_projection_is_projection():
         (np.eye(2), np.eye(2), True),
         (np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), False),
         (np.diag([3.0, 0.0]), np.diag([2.0, 0.0]), True),
+        # the bound scales with B: a leak of all of B is never round-off
+        (1e-9 * np.diag([0.0, 1.0]), 1e-9 * np.diag([1.0, 0.0]), False),
     ],
 )
 def test_absolute_continuity_examples(b, a, expected):
@@ -217,6 +219,8 @@ def test_absolute_continuity_examples(b, a, expected):
         (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), True),
         (np.eye(2), np.eye(2), False),
         (np.diag([1.0, 0.0]), [[1.0, 1.0], [1.0, 1.0]], True),
+        # the bound scales with A and B: 1e-9 I is not singular to itself
+        (1e-9 * np.eye(2), 1e-9 * np.eye(2), False),
     ],
 )
 def test_singularity_examples(a, b, expected):
@@ -330,6 +334,19 @@ def test_splitting_consistency():
     rng = np.random.default_rng(41)
     for _ in range(10):
         a, b = random_pair(rng, max_dim=8)
+        dec = direct_decompose(a, b)
+        assert is_absolutely_continuous(dec.ac, a)
+        assert is_singular(a, dec.sing)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6])
+def test_splitting_consistency_at_every_scale(scale):
+    # the predicates' bounds scale with the operands, so they hold the
+    # direct parts to the same relative standard far from unit scale
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        a, b = random_pair(rng, max_dim=8)
+        a, b = PsdMatrix(scale * a.entries), PsdMatrix(scale * b.entries)
         dec = direct_decompose(a, b)
         assert is_absolutely_continuous(dec.ac, a)
         assert is_singular(a, dec.sing)
