@@ -195,9 +195,7 @@ def _to_json(x):
 
 
 def _min_eig(diff: np.ndarray) -> float:
-    if diff.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(diff)[0])
+    return float(np.linalg.eigvalsh(diff)[0]) if diff.shape[0] else 0.0
 
 
 def _cmd_psum(args, problem, tol, digest):

@@ -65,12 +65,12 @@ class Tolerances:
         if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
 
-    def support(self, eigenvalues: np.ndarray) -> np.ndarray:
-        """True where an eigenvalue counts as nonzero: above ``rank_rtol``
-        times the largest, so none when the largest is <= 0."""
+    def support(self, eigenvalues: np.ndarray, reference: float = 0.0) -> np.ndarray:
+        """True where an eigenvalue counts as nonzero: above ``rank_rtol`` times
+        the largest or ``reference``, whichever is larger (none if both <= 0)."""
         if eigenvalues.size == 0:
             return np.zeros(0, dtype=bool)
-        return eigenvalues > self.rank_rtol * max(float(np.max(eigenvalues)), 0.0)
+        return eigenvalues > self.rank_rtol * max(float(np.max(eigenvalues)), reference, 0.0)
 
 
 DEFAULT_TOL = Tolerances()
@@ -231,6 +231,24 @@ def _require_psd(eigenvalues: np.ndarray, tol: Tolerances) -> None:
         )
 
 
+def roundoff(dim: int, scale: float) -> float:
+    """Round-off bound of a dense size-``dim`` computation on inputs of norm ``scale``."""
+    return 256.0 * max(dim, 1) * np.finfo(float).eps * scale
+
+
+def psd_difference(x: PsdMatrix, y: PsdMatrix, noise: float, context: str,
+                   tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
+    """X - Y for a derived Y <= X, validated by one ``eigvalsh`` against ``noise``,
+    the round-off of the computations that derived Y at the scale of their
+    inputs (not 1 + its own); below ``-noise``, ``context`` failed."""
+    h = _hermitian_part(x.entries - y.entries, tol)
+    smallest = float(_eigvalsh(h)[0]) if h.shape[0] else 0.0
+    if smallest < -noise:
+        raise NumericalError(f"{context} lost positivity beyond round-off ({smallest:.3e})",
+                             residual=-smallest)
+    return PsdMatrix._checked(h, None)
+
+
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(h)
@@ -356,13 +374,14 @@ def eig_hermitian(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposi
     return factored.dec
 
 
-def pinv(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
+def pinv(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL, *, reference: float = 0.0) -> PsdMatrix:
     """Moore-Penrose pseudoinverse of a PSD matrix.
 
-    Eigenvalues at most ``rank_rtol`` times the largest are treated as zero.
+    Eigenvalues at most ``rank_rtol`` times the largest (or ``reference``) are zero.
     """
     w = eig_hermitian(m, tol).eigenvalues
-    return spectral_map(m, np.divide(1.0, w, out=np.zeros_like(w), where=tol.support(w)), tol)
+    keep = tol.support(w, reference)
+    return spectral_map(m, np.divide(1.0, w, out=np.zeros_like(w), where=keep), tol)
 
 
 def range_projection(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:

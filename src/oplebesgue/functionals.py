@@ -16,7 +16,6 @@ from .core import (
     DEFAULT_TOL,
     PsdMatrix,
     Tolerances,
-    _frobenius,
     clip_psd,
     eig_hermitian,
     psd_by_construction,
@@ -94,17 +93,6 @@ class StarAlgebra:
     def coefficients(self, a: AlgebraElement) -> np.ndarray:
         """Coordinates of an element in the matrix-unit basis."""
         return np.concatenate([blk.reshape(-1) for blk in a.blocks])
-
-    def from_coefficients(self, coeffs) -> AlgebraElement:
-        coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-        if coeffs.size != self.total_dim:
-            raise ValueError(f"expected {self.total_dim} coefficients, got {coeffs.size}")
-        blocks = []
-        offset = 0
-        for n in self.block_dims:
-            blocks.append(coeffs[offset : offset + n * n].reshape(n, n))
-            offset += n * n
-        return self.element(blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,40 +245,40 @@ def gns(w: Functional, tol: Tolerances = DEFAULT_TOL) -> GnsTriplet:
     return GnsTriplet(w.algebra, tuple(int(np.count_nonzero(k)) for k in kept), zeta)
 
 
-def _density_from_values(values: np.ndarray, n: int, tol: Tolerances) -> PsdMatrix:
-    """Rebuild one block density from functional values on its matrix units.
-
-    trace(rho E_ij) = rho[j, i]; the result is symmetrized and eigenvalues
-    within psd_slack * (1 + ||rho||_F) below zero are clipped to zero.
-    """
-    rho = values.reshape(n, n).T
-    noise = tol.psd_slack * (1.0 + _frobenius(rho))
-    return clip_psd(rho, noise, tol, "functional density")
-
-
 def functional_from_form(
-    algebra: StarAlgebra, form: SesquilinearForm, tol: Tolerances = DEFAULT_TOL
+    algebra: StarAlgebra, form: SesquilinearForm, tol: Tolerances = DEFAULT_TOL,
+    *, scale: float | None = None,
 ) -> Functional:
-    """Recover the functional with a given induced form via w(a) = t(a, unit)."""
+    """Recover the functional with a given induced form via w(a) = t(a, unit).
+
+    On each block, trace(rho E_ij) = rho[j, i]; density eigenvalues within
+    ``psd_slack * scale`` below zero are clipped, with ``scale`` the norm of
+    the inputs that produced the form (by default the form's own)."""
     if form.basis_labels != algebra.basis_labels():
         raise ValueError("form is not indexed by the algebra's matrix-unit basis")
-    unit_coeffs = algebra.coefficients(algebra.unit())
-    values = unit_coeffs.conj() @ form.gram.entries
-    densities = []
-    offset = 0
-    for n in algebra.block_dims:
-        densities.append(_density_from_values(values[offset : offset + n * n], n, tol))
-        offset += n * n
-    return Functional(algebra, tuple(densities))
+    noise = tol.psd_slack * (form.gram.norm if scale is None else scale)
+    values = algebra.coefficients(algebra.unit()).conj() @ form.gram.entries
+    sizes = [n * n for n in algebra.block_dims]
+    return Functional(algebra, tuple(
+        clip_psd(v.reshape(n, n).T, noise, tol, "functional density")
+        for n, v in zip(algebra.block_dims, np.split(values, np.cumsum(sizes)[:-1]))))
+
+
+def _on_induced_forms(w: Functional, v: Functional, tol: Tolerances, op):
+    """``op`` on both induced forms, and the pair's scale ||Gram w|| + ||Gram v||
+    at which the densities of its result are recovered (the forms are freed)."""
+    _require_same_algebra(w.algebra, v.algebra)
+    tw, tv = induced_form(w, tol), induced_form(v, tol)
+    return op(tw, tv), tw.gram.norm + tv.gram.norm
 
 
 def functional_parallel_sum(
     w: Functional, v: Functional, tol: Tolerances = DEFAULT_TOL
 ) -> Functional:
-    """Parallel sum of functionals through their induced forms."""
-    _require_same_algebra(w.algebra, v.algebra)
-    summed = form_parallel_sum(induced_form(w, tol), induced_form(v, tol), tol)
-    return functional_from_form(w.algebra, summed, tol)
+    """Parallel sum of functionals through their induced forms, recovered at
+    the pair's scale (for mutually singular w and v it is their round-off)."""
+    summed, scale = _on_induced_forms(w, v, tol, lambda tw, tv: form_parallel_sum(tw, tv, tol))
+    return functional_from_form(w.algebra, summed, tol, scale=scale)
 
 
 def functional_decompose(
@@ -303,9 +291,8 @@ def functional_decompose(
     v-singular representable parts.
 
     Decomposes the induced forms and recovers both parts as block-density
-    functionals; the singular part satisfies sing : v = 0.
+    functionals at the pair's scale; the singular part satisfies sing : v = 0.
     """
-    _require_same_algebra(w.algebra, v.algebra)
-    dec = form_decompose(induced_form(w, tol), induced_form(v, tol), method, tol)
-    return dataclasses.replace(dec, ac=functional_from_form(w.algebra, dec.ac, tol),
-                               sing=functional_from_form(w.algebra, dec.sing, tol))
+    dec, scale = _on_induced_forms(w, v, tol, lambda tw, tv: form_decompose(tw, tv, method, tol))
+    return dataclasses.replace(dec, ac=functional_from_form(w.algebra, dec.ac, tol, scale=scale),
+                               sing=functional_from_form(w.algebra, dec.sing, tol, scale=scale))

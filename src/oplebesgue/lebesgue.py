@@ -18,15 +18,18 @@ from .core import (
     PsdMatrix,
     Tolerances,
     _frobenius,
+    clip_psd,
     eig_hermitian,
     factor_psd,
     psd_by_construction,
+    psd_difference,
     range_projection,
     require_same_dim,
+    roundoff,
     spectral_map,
     support_roots,
 )
-from .parallel import ando_ac_part, parallel_sum
+from .parallel import _parallel_product, ando_ac_part, parallel_sum
 
 __all__ = [
     "AuxiliarySpace",
@@ -96,10 +99,19 @@ class AuxiliarySpace:
 def arlinskii_step(x: PsdMatrix, a: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
     """One step of the Arlinskii iteration: X - X : A.
 
-    Fixed points are exactly the matrices singular to the reference A.
+    Fixed points are exactly the matrices singular to the reference A.  The
+    difference is validated at the scale of the inputs, ||X|| + ||A||.
     """
-    require_same_dim(x, a)
-    return PsdMatrix(x.entries - parallel_sum(x, a, tol).entries, tol)
+    return _step(x, a, 0.0, tol)
+
+
+def _step(x: PsdMatrix, a: PsdMatrix, carried: float, tol: Tolerances) -> PsdMatrix:
+    """X - X : A for an X carrying up to ``carried`` round-off from earlier steps,
+    which the parallel sum's clip and the difference's slack allow on top."""
+    prod, noise = _parallel_product(x, a, tol)
+    xa = clip_psd(prod, noise + carried, tol, "parallel sum")
+    return psd_difference(x, xa, tol.psd_slack * (x.norm + a.norm) + carried,
+                          "Arlinskii step", tol)
 
 
 def arlinskii_iterate(
@@ -108,7 +120,7 @@ def arlinskii_iterate(
     """Iterate B <- B - B : A until the trace increment stalls.
 
     The iterates decrease monotonically to the singular part of B relative
-    to A; stopping uses trace(B_n - B_{n+1}) <= iter_tol * (1 + trace B).
+    to A; stopping uses trace(B_n - B_{n+1}) <= iter_tol * trace B.
     When A has eigenvalues many orders below those of B on a shared subspace
     the iteration needs roughly one step per eigenvalue ratio, so it carries
     ``max_iter`` and a non-converged flag; the direct method is the reference.
@@ -119,20 +131,23 @@ def arlinskii_iterate(
         return LebesgueDecomposition(zero, zero, Method.ITERATE, 0, 0.0, True)
     if a.norm == 0.0:
         return LebesgueDecomposition(PsdMatrix.zero(b.dim), b, Method.ITERATE, 0, 0.0, True)
-    threshold = tol.iter_tol * (1.0 + b.trace)
+    threshold = tol.iter_tol * b.trace
+    # Each step adds at most this much round-off to what the iterate carries.
+    drift = roundoff(b.dim, a.norm + b.norm)
     current = b
     iterations = 0
     residual = float("inf")
     converged = False
     while iterations < tol.max_iter:
-        nxt = arlinskii_step(current, a, tol)
+        nxt = _step(current, a, iterations * drift, tol)
         iterations += 1
         residual = max(current.trace - nxt.trace, 0.0)
         current = nxt
         if residual <= threshold:
             converged = True
             break
-    ac = PsdMatrix(b.entries - current.entries, tol)
+    ac = psd_difference(b, current, tol.psd_slack * (a.norm + b.norm) + iterations * drift,
+                        "iterate limit", tol)
     return LebesgueDecomposition(ac, current, Method.ITERATE, iterations, residual, converged)
 
 
@@ -228,7 +243,7 @@ def decompose(
     if method is Method.DIRECT:
         return direct_decompose(a, b, tol)
     result = ando_ac_part(a, b, tol)
-    sing = PsdMatrix(b.entries - result.ac_part.entries, tol)
+    sing = psd_difference(b, result.ac_part, tol.psd_slack * b.norm, "ando singular part", tol)
     return LebesgueDecomposition(
         result.ac_part,
         sing,

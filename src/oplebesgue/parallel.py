@@ -11,10 +11,13 @@ from .core import (
     NumericalError,
     PsdMatrix,
     Tolerances,
+    _frobenius,
     clip_psd,
     eig_hermitian,
     pinv,
+    psd_by_construction,
     require_same_dim,
+    roundoff,
     spectral_map,
 )
 
@@ -37,11 +40,12 @@ def _nearest_in_order_interval(h: np.ndarray, upper: np.ndarray, noise: float,
 
     The exact value being approximated lies in that set, so only round-off
     (at most ``noise``) should need correcting; a larger displacement is a
-    genuine failure.
+    genuine failure, as is X below the PSD slack at ||upper|| after 100 rounds
+    (each round ends on upper - X clipped PSD, so only X >= 0 is checked).
     """
     if h.shape[0] == 0:
         return h
-    floor = 1e-13 * (1.0 + float(np.linalg.norm(upper)))
+    scale = _frobenius(upper)
     x = h
     p = np.zeros_like(h)
     q = np.zeros_like(h)
@@ -51,10 +55,11 @@ def _nearest_in_order_interval(h: np.ndarray, upper: np.ndarray, noise: float,
         x = upper - clip_psd(upper - (y + q), np.inf, tol, context).entries
         q = y + q - x
         low = float(np.linalg.eigvalsh(x)[0])
-        high = float(np.linalg.eigvalsh(upper - x)[0])
-        if low >= -floor and high >= -floor:
+        if low >= -1e-13 * scale:
             break
-    moved = float(np.linalg.norm(x - h))
+    if low < -tol.psd_slack * scale:
+        raise NumericalError(f"{context} did not settle above zero ({low:.3e})", residual=-low)
+    moved = _frobenius(x - h)
     if moved > noise:
         raise NumericalError(
             f"{context} violated its order bounds beyond round-off ({moved:.3e})",
@@ -89,8 +94,10 @@ def _scaled_pseudo_apply(big: PsdMatrix, small: PsdMatrix, tol: Tolerances) -> n
     g = u0.conj().T @ s @ u0
     hinv_f = np.linalg.solve(h, f)
     raw_schur = g - f.conj().T @ hinv_f
-    noise = 256.0 * big.dim * np.finfo(float).eps * (1.0 + small.norm)
-    schur_pinv = pinv(clip_psd(raw_schur, noise, tol, "Schur complement"), tol).entries
+    schur = clip_psd(raw_schur, roundoff(big.dim, small.norm), tol, "Schur complement")
+    # Its rank is decided against ||small||: when small lies in big's range the
+    # complement is round-off, which its own largest eigenvalue would keep.
+    schur_pinv = pinv(schur, tol, reference=small.norm).entries
     y1 = u1.conj().T @ s
     y0 = u0.conj().T @ s
     z0 = schur_pinv @ (y0 - hinv_f.conj().T @ y1)
@@ -105,9 +112,15 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     inf over y of <A(x-y), x-y> + <By, y>; the computed product is replaced
     by its Hermitian part to stop asymmetry drift.
     """
+    prod, noise = _parallel_product(a, b, tol)
+    return clip_psd(prod, noise, tol, "parallel sum")
+
+
+def _parallel_product(a: PsdMatrix, b: PsdMatrix, tol: Tolerances) -> tuple[np.ndarray, float]:
+    """A (A + B)^+ B as computed, before clipping, and its round-off bound."""
     require_same_dim(a, b)
     if a.dim == 0:
-        return PsdMatrix.zero(0)
+        return np.zeros((0, 0), dtype=np.complex128), 0.0
     big, small = (a, b) if a.norm >= b.norm else (b, a)
     s = small.entries
     # Evaluated as S - S (A+B)^+ S with S the smaller operand, which equals
@@ -122,8 +135,7 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
         # Products against the pseudoinverse amplify round-off by up to
         # ||S||^2 times its largest eigenvalue.
         amplified = small.norm**2 * float(eig_hermitian(pseudo, tol).eigenvalues[0])
-    noise = 256.0 * a.dim * np.finfo(float).eps * (1.0 + a.norm + b.norm + amplified)
-    return clip_psd(prod, noise, tol, "parallel sum")
+    return prod, roundoff(a.dim, a.norm + b.norm + amplified)
 
 
 def variational_value(
@@ -207,9 +219,9 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     """Increasing limit of (n A) : B along n = 2^k, k = 0..40.
 
     The limit is the maximal part of B absolutely continuous with respect to
-    A.  Stops once the trace increment falls below
-    ``iter_tol * (1 + trace B)``; an early stop without reaching that target
-    is reported via the ``converged`` flag, never silently.
+    A.  Stops once the trace increment falls below ``iter_tol * trace B``; an
+    early stop without reaching that target is reported via the ``converged``
+    flag, never silently.
 
     Two float guards can end the schedule before k = 40.  The trace sequence
     is increasing, so a drop beyond the round-off scale of the step certifies
@@ -218,14 +230,14 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     round-off scale, further doubling resolves nothing.
     """
     require_same_dim(a, b)
-    threshold = tol.iter_tol * (1.0 + b.trace)
+    threshold = tol.iter_tol * b.trace
     current = parallel_sum(a, b, tol)
     terms = 1
     increment = 0.0
     converged = False
     # Increments below the arithmetic resolution of a step carry no signal;
     # the kernel-deflated evaluation keeps that resolution flat in k.
-    step_noise = 2048.0 * max(b.dim, 1) * np.finfo(float).eps * (1.0 + a.norm + b.norm)
+    step_noise = 8.0 * roundoff(b.dim, a.norm + b.norm)
     for k in range(1, ANDO_MAX_DOUBLINGS + 1):
         nxt = parallel_sum((2.0**k) * a, b, tol)
         raw = nxt.trace - current.trace
@@ -242,11 +254,11 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
         if increment <= step_noise:
             break
     # The limit sits in the order interval [0, B]; round-off can push the
-    # computed term slightly outside, so settle it back.
+    # computed term slightly outside, so settle it back (which validates it).
     budget = 1e4 * max(step_noise, threshold)
     settled = _nearest_in_order_interval(current.entries, b.entries, budget, tol,
                                          "doubling limit")
-    return AndoLimitResult(PsdMatrix(settled, tol), terms, increment, converged)
+    return AndoLimitResult(psd_by_construction(settled, tol), terms, increment, converged)
 
 
 def spectral_ac_of_contraction(bt: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:

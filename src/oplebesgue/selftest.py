@@ -134,11 +134,14 @@ def _check_range_projection(fx, tol):
     return _expect_matrix(range_projection(_psd(fx, "m", tol), tol).entries, fx, tol)
 
 
-def _check_loewner(fx, tol):
-    got = loewner_leq(_psd(fx, "a", tol), _psd(fx, "b", tol), tol)
+def _expect_value(got, fx):
     if got != fx["expect"]["value"]:
         return f"expected {fx['expect']['value']}, got {got}"
     return ""
+
+
+def _check_loewner(fx, tol):
+    return _expect_value(loewner_leq(_psd(fx, "a", tol), _psd(fx, "b", tol), tol), fx)
 
 
 def _check_parallel_sum(fx, tol):
@@ -183,11 +186,7 @@ def _check_scalar_sequence(fx, tol):
 
 
 def _expect_split(ac, sing, fx, tol):
-    for key, got in (("ac", ac), ("sing", sing)):
-        expected = matrix_from_json(fx["expect"][key], key)
-        if not _close(np.asarray(got), expected, _rtol(fx, tol)):
-            return f"{key} mismatch: got {np.asarray(got).round(6).tolist()}"
-    return ""
+    return _expect_matrix(ac, fx, tol, key="ac") or _expect_matrix(sing, fx, tol, key="sing")
 
 
 def _check_iterate(fx, tol):
@@ -228,17 +227,11 @@ def _check_direct(fx, tol):
 
 
 def _check_is_ac(fx, tol):
-    got = is_absolutely_continuous(_psd(fx, "b", tol), _psd(fx, "a", tol), tol)
-    if got != fx["expect"]["value"]:
-        return f"expected {fx['expect']['value']}, got {got}"
-    return ""
+    return _expect_value(is_absolutely_continuous(_psd(fx, "b", tol), _psd(fx, "a", tol), tol), fx)
 
 
 def _check_is_singular(fx, tol):
-    got = is_singular(_psd(fx, "a", tol), _psd(fx, "b", tol), tol)
-    if got != fx["expect"]["value"]:
-        return f"expected {fx['expect']['value']}, got {got}"
-    return ""
+    return _expect_value(is_singular(_psd(fx, "a", tol), _psd(fx, "b", tol), tol), fx)
 
 
 def _check_decompose(fx, tol):
@@ -378,10 +371,8 @@ def _check_functional_decompose(fx, tol):
     dec = functional_decompose(
         _functional(fx, "w", tol), _functional(fx, "v", tol), fx["method"], tol
     )
-    detail = _expect_densities(dec.ac, fx, tol, key="ac")
-    if detail:
-        return detail
-    return _expect_densities(dec.sing, fx, tol, key="sing")
+    return (_expect_densities(dec.ac, fx, tol, key="ac")
+            or _expect_densities(dec.sing, fx, tol, key="sing"))
 
 
 _HANDLERS = {

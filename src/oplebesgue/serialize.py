@@ -263,12 +263,8 @@ class Report:
 
 
 def _native(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    if isinstance(value, np.generic):
+        return value.item()
     if isinstance(value, dict):
         return {k: _native(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

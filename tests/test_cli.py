@@ -162,6 +162,31 @@ def test_check_flags_do_not_depend_on_scale(capsys, tmp_path, scale):
         assert report["diagnostics"]["singularity_threshold"] == singularity_threshold(a_mat, b_mat)
 
 
+def _scaled(x, scale):
+    """A payload with every float (every matrix entry) times ``scale``."""
+    if isinstance(x, float):
+        return scale * x
+    if isinstance(x, list):
+        return [_scaled(y, scale) for y in x]
+    if isinstance(x, dict):
+        return {key: _scaled(y, scale) for key, y in x.items()}
+    return x
+
+
+@pytest.mark.parametrize("method", ["iterate", "ando"])
+@pytest.mark.parametrize("name", ["operator_pair.json", "form_pair.json", "functional_pair.json"])
+def test_decompose_steps_do_not_depend_on_scale(capsys, tmp_path, name, method):
+    def steps(scale):
+        doc = json.loads((DATA / name).read_text(encoding="utf-8"))
+        doc["payload"] = _scaled(doc["payload"], scale)
+        code, report, err = run_json(capsys, "decompose", write_problem(tmp_path, doc),
+                                     "--method", method)
+        assert code == 0, err
+        return report["diagnostics"]["iterations"], report["diagnostics"]["converged"]
+
+    assert steps(1e-9) == steps(1.0) == steps(1e9)
+
+
 @pytest.mark.parametrize("command", ["check", "decompose"])
 def test_diagnostics_stay_finite_above_the_norm_overflow(capsys, tmp_path, command):
     # ran B = ran A with ||B|| = 1e200: a norm that squares the entries

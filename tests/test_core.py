@@ -17,7 +17,7 @@ from oplebesgue import (
     range_projection,
 )
 
-from oplebesgue.core import clip_psd
+from oplebesgue.core import clip_psd, psd_difference
 
 from helpers import random_psd, random_unitary
 
@@ -268,6 +268,18 @@ def test_clip_rejects_negatives_beyond_the_noise(context):
     with pytest.raises(NumericalError, match=f"{context} lost positivity") as info:
         clip_psd(h, 1e-9, DEFAULT_TOL, context)
     assert info.value.residual == pytest.approx(1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_derived_difference_is_judged_against_its_noise(scale):
+    # X - Y = diag(1, -1e-9) * scale: inside a noise of 1e-8 * scale, a
+    # numerical failure of the named computation beyond 1e-10 * scale
+    x = PsdMatrix(scale * np.diag([2.0, 1.0]))
+    y = PsdMatrix(scale * np.diag([1.0, 1.0 + 1e-9]))
+    assert psd_difference(x, y, 1e-8 * scale, "test step").dim == 2
+    with pytest.raises(NumericalError, match="test step lost positivity") as info:
+        psd_difference(x, y, 1e-10 * scale, "test step")
+    assert info.value.residual == pytest.approx(1e-9 * scale, rel=1e-6)
 
 
 def test_clip_keeps_the_clipped_spectrum_inside_the_noise(eigensolves):

@@ -92,6 +92,21 @@ def test_iterate_non_convergence_is_flagged():
     assert dec.residual > slow.iter_tol * (1.0 + 2.0)
 
 
+@pytest.mark.parametrize("spread, draw, converged",
+                         [(5, 114, True), (7, 8, False), (7, 17, True), (7, 74, False)])
+def test_iterate_carries_its_round_off_over_thousands_of_steps(spread, draw, converged):
+    # hostile draws whose iterates pick up round-off at the scale of B for
+    # hundreds to thousands of steps, more than one step's slack allows
+    rng = np.random.default_rng([31, spread])
+    for _ in range(draw + 1):
+        a, b = random_pair(rng, 12, ratio=10.0**spread)
+    dec = arlinskii_iterate(a, b, Tolerances(max_iter=3000))
+    assert dec.converged is converged and dec.iterations > 500
+    if converged:
+        ref = direct_decompose(a, b).ac.entries
+        assert np.linalg.norm(dec.ac.entries - ref) <= 1e-7 * b.norm
+
+
 def test_auxiliary_space_balanced_pair():
     half = PsdMatrix(np.eye(2) / 2)
     aux = auxiliary_space(half, half)

@@ -6,6 +6,7 @@ import pytest
 from oplebesgue import (
     DEFAULT_TOL,
     DimensionMismatchError,
+    NumericalError,
     PsdMatrix,
     ando_ac_part,
     loewner_leq,
@@ -31,6 +32,15 @@ def test_rank_one_with_trivial_intersection():
     # ran A and ran B meet only in 0, so A : B = 0 (checked by hand via A(A+B)^{-1}B)
     got = parallel_sum(PsdMatrix(np.diag([1.0, 0.0])), PsdMatrix([[1.0, 1.0], [1.0, 1.0]]))
     assert got.norm <= 1e-12
+
+
+@pytest.mark.parametrize("ratio", [1e2, 1e3, 1e4, 1e6, 1e12])
+def test_small_operand_inside_the_large_ones_range(ratio):
+    # ran B = ran A, so the Schur complement on the kernel of the larger
+    # operand is round-off; off-axis eigenvectors keep it from being exact zero
+    q = np.array([1.0, 2.0, 2.0]) / 3.0
+    got = parallel_sum(PsdMatrix(np.outer(q, q)), PsdMatrix(ratio * np.outer(q, q)))
+    assert np.linalg.norm(got.entries - ratio / (1.0 + ratio) * np.outer(q, q)) <= 1e-13
 
 
 def test_dimension_mismatch():
@@ -145,6 +155,17 @@ def test_ando_result_contract():
         assert loewner_leq(result.ac_part, b)
         if result.converged:
             assert result.final_increment <= DEFAULT_TOL.iter_tol * (1.0 + result.ac_part.trace)
+
+
+def test_unsettled_doubling_limit_is_a_named_failure():
+    # a rank-ambiguous pair (spread 1e14) whose last term the settling
+    # rounds cannot bring back into [0, B]
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        a, b = random_pair(rng, 12, ratio=1e14)
+    with pytest.raises(NumericalError, match="doubling limit") as info:
+        ando_ac_part(a, b)
+    assert info.value.residual > 0.0
 
 
 def test_ando_range_stays_inside_reference_range():
