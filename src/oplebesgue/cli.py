@@ -244,11 +244,13 @@ def _cmd_decompose(args, problem, tol, digest):
             sings[name] = other_sing.entries
             flags.append(other_meta.converged)
         names = sorted(sings)
-        diagnostics["cross_method_max_discrepancy"] = max(
-            _frobenius(sings[x] - sings[y])
+        pairs = {
+            f"{x}-{y}": _frobenius(sings[x] - sings[y])
             for i, x in enumerate(names)
             for y in names[i + 1 :]
-        )
+        }
+        diagnostics["cross_method_discrepancies"] = pairs
+        diagnostics["cross_method_max_discrepancy"] = max(pairs.values())
         diagnostics["cross_method_all_converged"] = all(flags)
     report = Report("decompose", digest, problem.kind, args.method, result, diagnostics, 0.0)
     return report, EXIT_OK

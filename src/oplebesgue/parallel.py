@@ -33,6 +33,11 @@ __all__ = [
 # Doubling schedule cap for the increasing limit of (2^k A) : B.
 ANDO_MAX_DOUBLINGS = 40
 
+# Bound on the absolute sum of the Richardson weights by which a diagonal
+# entry of Romberg's table combines the doubling terms: each column step
+# grows it by (2^m + 1) / (2^m - 1), and the product over all m is 8.26.
+_ROMBERG_GROWTH = 8.3
+
 
 def _nearest_in_order_interval(h: np.ndarray, upper: np.ndarray, noise: float,
                                tol: Tolerances, context: str) -> np.ndarray:
@@ -202,11 +207,15 @@ def variational_value(
 class AndoLimitResult:
     """Limit of the doubling schedule (2^k A) : B.
 
-    ac_part: the last term computed (the absolutely continuous part of B).
+    ac_part: the absolutely continuous part of B, settled into [0, B]: the
+        Romberg-extrapolated limit when the table settled first, otherwise
+        the last term of the schedule.
     terms_used: number of parallel sums evaluated along the schedule.
-    final_increment: trace increment between the last two terms.
-    converged: False when the doubling cap was hit before the increment fell
-        below the stopping tolerance.
+    final_increment: the last change of the table's diagonal (Frobenius
+        norm) when the extrapolated limit is returned, otherwise the trace
+        increment between the last two terms.
+    converged: False when the schedule ended (doubling cap, drop guard or
+        resolution stop) before either stopping rule was met.
     """
 
     ac_part: PsdMatrix
@@ -215,19 +224,45 @@ class AndoLimitResult:
     converged: bool
 
 
+def _romberg_update(row: list[np.ndarray], term: np.ndarray) -> None:
+    """Advance one row of Romberg's table in place by the next doubling term.
+
+    ``row`` holds R[k-1][0..k-1] and becomes R[k][0..k], with R[k][0] = T_k
+    and R[k][m] = (2^m R[k][m-1] - R[k-1][m-1]) / (2^m - 1).  Column m
+    cancels the 2^(-mk) term of T_k's expansion about its limit.
+    """
+    carry = term
+    for m, older in enumerate(row):
+        row[m] = carry
+        carry = (2.0 ** (m + 1) * carry - older) / (2.0 ** (m + 1) - 1.0)
+    row.append(carry)
+
+
 def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> AndoLimitResult:
-    """Increasing limit of (n A) : B along n = 2^k, k = 0..40.
+    """Increasing limit of (n A) : B along n = 2^k, k = 0..40, extrapolated.
 
     The limit is the maximal part of B absolutely continuous with respect to
-    A.  Stops once the trace increment falls below ``iter_tol * trace B``; an
-    early stop without reaching that target is reported via the ``converged``
-    flag, never silently.
+    A.  ``(tA) : B`` is a rational function of s = 1/t, analytic at 0, so
+    the terms expand as T_k = L + c_1 2^-k + c_2 4^-k + ...  Romberg's table
+    (Romberg 1955) cancels those error terms order by order; one row of it
+    is kept and updated in place, so at most ``terms_used`` n x n arrays are
+    live.  The schedule stops at the first of two rules, each with stopping
+    threshold ``iter_tol * trace B``:
 
-    Two float guards can end the schedule before k = 40.  The trace sequence
-    is increasing, so a drop beyond the round-off scale of the step certifies
-    that the scaled pseudoinverse has started misclassifying eigenvalues; the
-    last clean term is returned.  And once increments fall below that
-    round-off scale, further doubling resolves nothing.
+    - two consecutive changes of the table's diagonal, ||R[k][k] -
+      R[k-1][k-1]||_F, are both at most the threshold: the diagonal is
+      returned, converged;
+    - the plain trace increment of T_k is at most the threshold: T_k is
+      returned, converged.
+
+    Two float guards on the plain trace increments can end the schedule
+    before k = 40, and then the last clean term is returned unconverged, as
+    on hitting the cap.  The trace sequence is increasing, so a drop beyond
+    the round-off scale of the step certifies that the scaled pseudoinverse
+    has started misclassifying eigenvalues.  And once increments fall below
+    that round-off scale, further doubling resolves nothing.  An early stop
+    without reaching either target is reported via the ``converged`` flag,
+    never silently.
     """
     require_same_dim(a, b)
     threshold = tol.iter_tol * b.trace
@@ -235,6 +270,9 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     terms = 1
     increment = 0.0
     converged = False
+    row = [current.entries]
+    change = np.inf
+    extrapolated = None
     # Increments below the arithmetic resolution of a step carry no signal;
     # the kernel-deflated evaluation keeps that resolution flat in k.
     step_noise = 8.0 * roundoff(b.dim, a.norm + b.norm)
@@ -251,13 +289,22 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
         if increment <= threshold:
             converged = True
             break
+        diagonal = row[-1]
+        _romberg_update(row, current.entries)
+        previous_change, change = change, _frobenius(row[-1] - diagonal)
+        if max(previous_change, change) <= threshold:
+            converged, increment, extrapolated = True, change, row[-1]
+            break
         if increment <= step_noise:
             break
+    if extrapolated is None:
+        limit, noise = current.entries, step_noise
+    else:
+        limit, noise = extrapolated, _ROMBERG_GROWTH * step_noise
     # The limit sits in the order interval [0, B]; round-off can push the
     # computed term slightly outside, so settle it back (which validates it).
-    budget = 1e4 * max(step_noise, threshold)
-    settled = _nearest_in_order_interval(current.entries, b.entries, budget, tol,
-                                         "doubling limit")
+    budget = 1e4 * max(noise, threshold)
+    settled = _nearest_in_order_interval(limit, b.entries, budget, tol, "doubling limit")
     return AndoLimitResult(psd_by_construction(settled, tol), terms, increment, converged)
 
 

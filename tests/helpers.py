@@ -45,3 +45,32 @@ def random_contraction(rng, dim, unit_eigs=0):
     lam[:unit_eigs] = 1.0
     m = (q * lam) @ q.conj().T
     return PsdMatrix((m + m.conj().T) / 2.0)
+
+
+def _svd_pinv(m, cutoff):
+    """Pseudoinverse from numpy's SVD, dropping singular values <= cutoff."""
+    u, s, vh = np.linalg.svd(m)
+    keep = s > cutoff
+    return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+
+
+def anderson_trapp_ac(a, b, rtol=1e-10):
+    """Absolutely continuous part of B relative to A as the Anderson-Trapp short.
+
+    An oracle that shares no code with the package: numpy's SVD only.  The
+    ac part is the short of B to ran A (Anderson & Trapp 1975, "Shorted
+    operators II"; Ando 1976).  In an orthonormal basis [Q, P] of ran A and
+    its complement it is Q (B11 - B12 B22^+ B21) Q*.  Rank decisions drop
+    singular values at most ``rtol`` times the largest, of A for its range
+    and of B for the pseudoinverse of B22.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    u, s, _ = np.linalg.svd(a)
+    rank = int(np.count_nonzero(s > rtol * s[0])) if s.size else 0
+    q, p = u[:, :rank], u[:, rank:]
+    b12 = q.conj().T @ b @ p
+    b22 = p.conj().T @ b @ p
+    cutoff = rtol * np.linalg.norm(b, 2) if b.size else 0.0
+    short = q.conj().T @ b @ q - b12 @ _svd_pinv(b22, cutoff) @ b12.conj().T
+    out = q @ short @ q.conj().T
+    return (out + out.conj().T) / 2.0
