@@ -83,10 +83,11 @@ class PsdMatrix:
     is verified to be within ``recon_tol``; eigenvalues may dip below zero by
     at most ``psd_slack * (1 + max |eigenvalue|)``.  Real input is embedded
     with zero imaginary parts.  The matrix keeps its own eigendecomposition
-    once one is computed, so it is factored at most once.
+    once one is computed, so it is factored at most once, and its norm once
+    it is first read.
     """
 
-    __slots__ = ("_entries", "_factored")
+    __slots__ = ("_entries", "_factored", "_norm")
 
     def __init__(self, entries, tol: Tolerances = DEFAULT_TOL):
         h = _hermitian_part(entries, tol)
@@ -95,6 +96,7 @@ class PsdMatrix:
         h.flags.writeable = False
         self._entries = h
         self._factored = None
+        self._norm = None
 
     @classmethod
     def _checked(cls, h: np.ndarray, factored: _Factorization | None) -> PsdMatrix:
@@ -104,6 +106,7 @@ class PsdMatrix:
         h.flags.writeable = False
         obj._entries = h
         obj._factored = factored
+        obj._norm = None
         return obj
 
     def _factorization(self) -> _Factorization:
@@ -134,8 +137,10 @@ class PsdMatrix:
 
     @property
     def norm(self) -> float:
-        """Frobenius norm."""
-        return _frobenius(self._entries)
+        """Frobenius norm, computed on first use and kept."""
+        if self._norm is None:
+            self._norm = _frobenius(self._entries)
+        return self._norm
 
     def __add__(self, other: PsdMatrix) -> PsdMatrix:
         """A + B, validated on one ``eigh`` that the sum keeps (``factor_psd``)."""

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    NumericalError,
     PsdMatrix,
     Tolerances,
     _frobenius,
@@ -114,15 +115,47 @@ def _step(x: PsdMatrix, a: PsdMatrix, carried: float, tol: Tolerances) -> PsdMat
                           "Arlinskii step", tol)
 
 
+def _range_compression(
+    a: PsdMatrix, b: PsdMatrix, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, PsdMatrix]:
+    """(U, lam, Y) for M = ran B: B = U diag(lam) U* over B's kept eigenvalues,
+    and Y = U* S_M(A) U, the short of A to M (Anderson & Trapp 1975) in U's
+    coordinates.
+
+    With A = R R* its root factor and U0 the rest of B's eigenvectors, S_M(A)
+    = R K K* R* where K spans the kernel of U0* R: its squared singular
+    values are judged by the rank cutoff against A's largest eigenvalue.  So
+    Y = (U* R K)(U* R K)* is a Gram product, positive by construction, and
+    no pseudo-inverse of a block of A is formed.
+    """
+    dec = eig_hermitian(b, tol)
+    keep = tol.support(dec.eigenvalues)
+    u, u0 = dec.vectors[:, keep], dec.vectors[:, ~keep]
+    root, _ = support_roots(a, tol)
+    try:
+        _, sigma, vh = np.linalg.svd(u0.conj().T @ root)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD of the short failed to converge: {exc}") from exc
+    top = eig_hermitian(a, tol).eigenvalues[0]
+    kernel = vh[np.count_nonzero(tol.support(sigma**2, top)):]
+    factor = u.conj().T @ root @ kernel.conj().T
+    return u, dec.eigenvalues[keep], psd_by_construction(factor @ factor.conj().T, tol)
+
+
 def arlinskii_iterate(
     a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL
 ) -> LebesgueDecomposition:
-    """Iterate B <- B - B : A until the trace increment stalls.
+    """Iterate B <- B - B : A on the range of B until the trace increment stalls.
 
     The iterates decrease monotonically to the singular part of B relative
-    to A; stopping uses trace(B_n - B_{n+1}) <= iter_tol * trace B.
-    When A has eigenvalues many orders below those of B on a shared subspace
-    the iteration needs roughly one step per eigenvalue ratio, so it carries
+    to A; stopping uses trace(B_n - B_{n+1}) <= iter_tol * trace B.  Every
+    iterate lies below B, so it lives on M = ran B, where X : A = X_M : S_M(A)
+    for the short S_M(A) of A to M: the steps run on rank(B)-sized matrices
+    X against Y = U* S_M(A) U (``_range_compression``), starting from
+    X = diag(lam), and the result is sing = U X U* and ac = B - sing.
+    Eigenvalues of B under the rank cutoff therefore belong to ac.  When A
+    has eigenvalues many orders below those of B on a shared subspace the
+    iteration needs roughly one step per eigenvalue ratio, so it carries
     ``max_iter`` and a non-converged flag; the direct method is the reference.
     """
     require_same_dim(a, b)
@@ -131,24 +164,26 @@ def arlinskii_iterate(
         return LebesgueDecomposition(zero, zero, Method.ITERATE, 0, 0.0, True)
     if a.norm == 0.0:
         return LebesgueDecomposition(PsdMatrix.zero(b.dim), b, Method.ITERATE, 0, 0.0, True)
+    u, lam, short = _range_compression(a, b, tol)
     threshold = tol.iter_tol * b.trace
     # Each step adds at most this much round-off to what the iterate carries.
     drift = roundoff(b.dim, a.norm + b.norm)
-    current = b
+    current = psd_by_construction(np.diag(lam), tol)
     iterations = 0
     residual = float("inf")
     converged = False
     while iterations < tol.max_iter:
-        nxt = _step(current, a, iterations * drift, tol)
+        nxt = _step(current, short, iterations * drift, tol)
         iterations += 1
         residual = max(current.trace - nxt.trace, 0.0)
         current = nxt
         if residual <= threshold:
             converged = True
             break
-    ac = psd_difference(b, current, tol.psd_slack * (a.norm + b.norm) + iterations * drift,
+    sing = psd_by_construction(u @ current.entries @ u.conj().T, tol)
+    ac = psd_difference(b, sing, tol.psd_slack * (a.norm + b.norm) + iterations * drift,
                         "iterate limit", tol)
-    return LebesgueDecomposition(ac, current, Method.ITERATE, iterations, residual, converged)
+    return LebesgueDecomposition(ac, sing, Method.ITERATE, iterations, residual, converged)
 
 
 def auxiliary_space(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> AuxiliarySpace:

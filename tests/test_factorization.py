@@ -69,9 +69,13 @@ def test_iterate_eigensolve_count(eigensolves):
     a, b = _pair(eigensolves)
     result = arlinskii_iterate(a, b)
     assert result.converged and result.iterations == 36
-    # two eigh per step (A + X and the clipped X : A), one eigvalsh per step
-    # to validate X - X : A, and one for the final ac part
-    assert _tally(eigensolves) == {("eigh", 12): 72, ("eigvalsh", 12): 37}
+    # B has rank 10, so the steps run on its range: one eigh each for B and
+    # for A's root factor, one SVD of the 2 x 8 rows of that factor off ran B
+    # (the short of A to ran B), then two size-10 eigh per step (X + Y and
+    # the clipped X : Y), one size-10 eigvalsh per step to validate X - X : Y,
+    # and one size-12 eigvalsh for the final ac part
+    assert _tally(eigensolves) == {("eigh", 12): 2, ("eigh", 10): 72, ("eigvalsh", 10): 36,
+                                   ("eigvalsh", 12): 1, ("svd", 2): 1}
 
 
 def _block_pair(calls):
