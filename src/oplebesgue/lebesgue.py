@@ -19,18 +19,16 @@ from .core import (
     PsdMatrix,
     Tolerances,
     _frobenius,
-    clip_psd,
     eig_hermitian,
     factor_psd,
     psd_by_construction,
     psd_difference,
     range_projection,
     require_same_dim,
-    roundoff,
     spectral_map,
     support_roots,
 )
-from .parallel import _parallel_product, ando_ac_part, parallel_sum
+from .parallel import ando_ac_part, parallel_sum
 
 __all__ = [
     "AuxiliarySpace",
@@ -103,43 +101,37 @@ def arlinskii_step(x: PsdMatrix, a: PsdMatrix, tol: Tolerances = DEFAULT_TOL) ->
     Fixed points are exactly the matrices singular to the reference A.  The
     difference is validated at the scale of the inputs, ||X|| + ||A||.
     """
-    return _step(x, a, 0.0, tol)
-
-
-def _step(x: PsdMatrix, a: PsdMatrix, carried: float, tol: Tolerances) -> PsdMatrix:
-    """X - X : A for an X carrying up to ``carried`` round-off from earlier steps,
-    which the parallel sum's clip and the difference's slack allow on top."""
-    prod, noise = _parallel_product(x, a, tol)
-    xa = clip_psd(prod, noise + carried, tol, "parallel sum")
-    return psd_difference(x, xa, tol.psd_slack * (x.norm + a.norm) + carried,
+    return psd_difference(x, parallel_sum(x, a, tol), tol.psd_slack * (x.norm + a.norm),
                           "Arlinskii step", tol)
+
+
+def _svd(m: np.ndarray, full_matrices: bool):
+    try:
+        return np.linalg.svd(m, full_matrices=full_matrices)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed to converge: {exc}") from exc
 
 
 def _range_compression(
     a: PsdMatrix, b: PsdMatrix, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, PsdMatrix]:
-    """(U, lam, Y) for M = ran B: B = U diag(lam) U* over B's kept eigenvalues,
-    and Y = U* S_M(A) U, the short of A to M (Anderson & Trapp 1975) in U's
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, lam, F) for M = ran B: B = U diag(lam) U* over B's kept eigenvalues,
+    and F F* = U* S_M(A) U, the short of A to M (Anderson & Trapp 1975) in U's
     coordinates.
 
     With A = R R* its root factor and U0 the rest of B's eigenvectors, S_M(A)
     = R K K* R* where K spans the kernel of U0* R: its squared singular
     values are judged by the rank cutoff against A's largest eigenvalue.  So
-    Y = (U* R K)(U* R K)* is a Gram product, positive by construction, and
-    no pseudo-inverse of a block of A is formed.
+    F = U* R K, and no pseudo-inverse of a block of A is formed.
     """
     dec = eig_hermitian(b, tol)
     keep = tol.support(dec.eigenvalues)
     u, u0 = dec.vectors[:, keep], dec.vectors[:, ~keep]
     root, _ = support_roots(a, tol)
-    try:
-        _, sigma, vh = np.linalg.svd(u0.conj().T @ root)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD of the short failed to converge: {exc}") from exc
+    _, sigma, vh = _svd(u0.conj().T @ root, True)
     top = eig_hermitian(a, tol).eigenvalues[0]
     kernel = vh[np.count_nonzero(tol.support(sigma**2, top)):]
-    factor = u.conj().T @ root @ kernel.conj().T
-    return u, dec.eigenvalues[keep], psd_by_construction(factor @ factor.conj().T, tol)
+    return u, dec.eigenvalues[keep], u.conj().T @ root @ kernel.conj().T
 
 
 def arlinskii_iterate(
@@ -148,14 +140,19 @@ def arlinskii_iterate(
     """Iterate B <- B - B : A on the range of B until the trace increment stalls.
 
     The iterates decrease monotonically to the singular part of B relative
-    to A; stopping uses trace(B_n - B_{n+1}) <= iter_tol * trace B.  Every
-    iterate lies below B, so it lives on M = ran B, where X : A = X_M : S_M(A)
-    for the short S_M(A) of A to M: the steps run on rank(B)-sized matrices
-    X against Y = U* S_M(A) U (``_range_compression``), starting from
-    X = diag(lam), and the result is sing = U X U* and ac = B - sing.
-    Eigenvalues of B under the rank cutoff therefore belong to ac.  When A
-    has eigenvalues many orders below those of B on a shared subspace the
-    iteration needs roughly one step per eigenvalue ratio, so it carries
+    to A; stopping uses trace(B_n - B_{n+1}) <= iter_tol * trace B.  They lie
+    below B, so on M = ran B, where X : A = X_M : S_M(A) with the short
+    S_M(A) = U F F* U* of A to M (``_range_compression``): the iteration
+    starts from diag(lam) against Y = F F*.  The thin SVD
+    [diag(lam)^(1/2), F] = P S Q* gives diag(lam) = G (I - Yc) G* and
+    Y = G Yc G* for G = P S, with the contraction Yc = Q_F* Q_F = W diag(y) W*
+    (Q_F the rows of Q that belong to F).  Congruence by the invertible G
+    commutes with parallel sums and every iterate is a function of Yc, so
+    the n-th iterate is exactly H diag(g_n) H* with H = U G W, g_0 = 1 - y
+    and g_{n+1} = g_n^2 / (g_n + y), a scalar recursion; sing = H diag(g) H*
+    and ac = B - sing, so eigenvalues of B under the rank cutoff belong to ac.
+    When A has eigenvalues many orders below those of B on a shared subspace
+    the iteration needs roughly one step per eigenvalue ratio, so it carries
     ``max_iter`` and a non-converged flag; the direct method is the reference.
     """
     require_same_dim(a, b)
@@ -164,25 +161,25 @@ def arlinskii_iterate(
         return LebesgueDecomposition(zero, zero, Method.ITERATE, 0, 0.0, True)
     if a.norm == 0.0:
         return LebesgueDecomposition(PsdMatrix.zero(b.dim), b, Method.ITERATE, 0, 0.0, True)
-    u, lam, short = _range_compression(a, b, tol)
+    u, lam, factor = _range_compression(a, b, tol)
+    p, s, qh = _svd(np.hstack([np.diag(np.sqrt(lam)), factor]), False)
+    # Q_F* = W diag(sqrt y) V*, with W square so that y is padded by zeros
+    w, root_y, _ = _svd(qh[:, lam.size:], True)
+    y = np.clip(np.pad(root_y**2, (0, lam.size - root_y.size)), 0.0, 1.0)
+    h = u @ (p * s) @ w
+    weight = np.sum(np.abs(h) ** 2, axis=0)
     threshold = tol.iter_tol * b.trace
-    # Each step adds at most this much round-off to what the iterate carries.
-    drift = roundoff(b.dim, a.norm + b.norm)
-    current = psd_by_construction(np.diag(lam), tol)
-    iterations = 0
-    residual = float("inf")
+    g = 1.0 - y
     converged = False
-    while iterations < tol.max_iter:
-        nxt = _step(current, short, iterations * drift, tol)
-        iterations += 1
-        residual = max(current.trace - nxt.trace, 0.0)
-        current = nxt
+    for iterations in range(1, tol.max_iter + 1):
+        nxt = g * g / (g + y)
+        residual = max(float(weight @ (g - nxt)), 0.0)
+        g = nxt
         if residual <= threshold:
             converged = True
             break
-    sing = psd_by_construction(u @ current.entries @ u.conj().T, tol)
-    ac = psd_difference(b, sing, tol.psd_slack * (a.norm + b.norm) + iterations * drift,
-                        "iterate limit", tol)
+    sing = psd_by_construction((h * g) @ h.conj().T, tol)
+    ac = psd_difference(b, sing, tol.psd_slack * (a.norm + b.norm), "iterate limit", tol)
     return LebesgueDecomposition(ac, sing, Method.ITERATE, iterations, residual, converged)
 
 

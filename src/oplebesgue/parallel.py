@@ -117,15 +117,9 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     inf over y of <A(x-y), x-y> + <By, y>; the computed product is replaced
     by its Hermitian part to stop asymmetry drift.
     """
-    prod, noise = _parallel_product(a, b, tol)
-    return clip_psd(prod, noise, tol, "parallel sum")
-
-
-def _parallel_product(a: PsdMatrix, b: PsdMatrix, tol: Tolerances) -> tuple[np.ndarray, float]:
-    """A (A + B)^+ B as computed, before clipping, and its round-off bound."""
     require_same_dim(a, b)
     if a.dim == 0:
-        return np.zeros((0, 0), dtype=np.complex128), 0.0
+        return PsdMatrix.zero(0)
     big, small = (a, b) if a.norm >= b.norm else (b, a)
     s = small.entries
     # Evaluated as S - S (A+B)^+ S with S the smaller operand, which equals
@@ -140,7 +134,7 @@ def _parallel_product(a: PsdMatrix, b: PsdMatrix, tol: Tolerances) -> tuple[np.n
         # Products against the pseudoinverse amplify round-off by up to
         # ||S||^2 times its largest eigenvalue.
         amplified = small.norm**2 * float(eig_hermitian(pseudo, tol).eigenvalues[0])
-    return prod, roundoff(a.dim, a.norm + b.norm + amplified)
+    return clip_psd(prod, roundoff(a.dim, a.norm + b.norm + amplified), tol, "parallel sum")
 
 
 def variational_value(

@@ -69,13 +69,16 @@ def test_iterate_eigensolve_count(eigensolves):
     a, b = _pair(eigensolves)
     result = arlinskii_iterate(a, b)
     assert result.converged and result.iterations == 36
-    # B has rank 10, so the steps run on its range: one eigh each for B and
-    # for A's root factor, one SVD of the 2 x 8 rows of that factor off ran B
-    # (the short of A to ran B), then two size-10 eigh per step (X + Y and
-    # the clipped X : Y), one size-10 eigvalsh per step to validate X - X : Y,
-    # and one size-12 eigvalsh for the final ac part
-    assert _tally(eigensolves) == {("eigh", 12): 2, ("eigh", 10): 72, ("eigvalsh", 10): 36,
-                                   ("eigvalsh", 12): 1, ("svd", 2): 1}
+    # B has rank 10, so the iteration runs on its range: one eigh each for B
+    # and for A's root factor, one SVD of the 2 x 8 rows of that factor off
+    # ran B (the short of A to ran B, F F* with F 10 x 6), one SVD of the
+    # 10 x 16 stack [diag(lam)^(1/2), F] and one of its 10 x 6 block Q_F*;
+    # the steps are a scalar recursion, and one size-12 eigvalsh validates
+    # the final ac part
+    assert _tally(eigensolves) == {("eigh", 12): 2, ("eigvalsh", 12): 1, ("svd", 2): 1,
+                                   ("svd", 10): 2}
+    assert sorted(h.shape for name, h in eigensolves if name == "svd") == [
+        (2, 8), (10, 6), (10, 16)]
 
 
 def _block_pair(calls):

@@ -40,8 +40,9 @@ def test_parallel_sum_of_an_operand_on_ran_b_is_the_compressed_one_against_the_s
     rng = np.random.default_rng([41, dim, rank_a, rank_b])
     a = random_psd(rng, dim, rank_a)
     b = random_psd(rng, dim, rank_b)
-    u, lam, short = _range_compression(a, b, DEFAULT_TOL)
+    u, lam, factor = _range_compression(a, b, DEFAULT_TOL)
     assert u.shape == (dim, rank_b) and lam.shape == (rank_b,)
+    short = PsdMatrix(factor @ factor.conj().T)
     assert np.allclose(_lift(u, np.diag(lam)), b.entries, rtol=0.0, atol=1e-12 * b.norm)
     for _ in range(3):
         x_m = random_psd(rng, rank_b)
@@ -94,6 +95,9 @@ def _edge_case(kind, rng):
         return _psd(q[:, :3], [1.0, 0.5, 0.2]), _psd(v, [0.7])
     if kind == "A orthogonal to ran B":
         return _psd(q[:, :2], [1.0, 0.4]), _psd(q[:, 2:5], [0.9, 0.5, 0.3])
+    if kind == "ran A meets ran B only in 0":
+        # ranks 2 and 3 in general position in C^6
+        return random_psd(rng, 6, 2), random_psd(rng, 6, 3)
     if kind == "ran B inside ran A":
         b = _psd(q[:, 1:3] @ random_unitary(rng, 2), [0.9, 0.4])
         return _psd(q[:, :5], [1.0, 0.8, 0.5, 0.3, 0.2]), b
@@ -119,6 +123,8 @@ def _edge_case(kind, rng):
     # sing lifted as U X U^T, without conjugation
     ("rank-1 B off ran A", "unconjugated lift"),
     ("A orthogonal to ran B", "unconjugated lift"),
+    # y not padded by zeros to rank B: F has no columns, so y is empty
+    ("ran A meets ran B only in 0", "unpadded y"),
     # K taken from Vh's first rows (the co-kernel) instead of its last
     ("ran B inside ran A", "co-kernel"),
     # the kernel's cutoff judged against the largest squared singular value
@@ -138,7 +144,15 @@ def test_iterate_edge_cases_match_the_anderson_trapp_oracle(kind, mutation):
     assert dec.converged
     bound = 1e-5 if kind == "ran A at 1e-6 from ran B" else 1e-9
     assert _error(dec, a, b) <= bound, mutation
-    if kind in ("A orthogonal to ran B", "rank-1 B off ran A"):
+    if kind == "full-rank B":
+        # nothing lies off ran B, so K = I and the short is A itself
+        u, _, factor = _range_compression(a, b, DEFAULT_TOL)
+        assert factor.shape == (6, 3)
+        assert np.linalg.norm(_lift(u, factor @ factor.conj().T) - a.entries) <= 1e-12 * a.norm
+    if kind in ("A orthogonal to ran B", "ran A meets ran B only in 0"):
+        # the short is 0: F has no columns, y = 0 and g stays 1
+        assert _range_compression(a, b, DEFAULT_TOL)[2].shape == (3, 0)
+    if kind in ("A orthogonal to ran B", "rank-1 B off ran A", "ran A meets ran B only in 0"):
         assert dec.iterations == 1
         assert np.linalg.norm(dec.sing.entries - b.entries) <= 1e-12 * b.norm
     if kind in ("ran B inside ran A", "rank-1 B in ran A", "ran A at 1e-6 from ran B"):
@@ -157,10 +171,10 @@ def test_iterate_never_forms_a_pseudo_inverse_of_a_block_of_a():
     assert _error(dec, a, b) <= 1e-9
 
 
-@pytest.mark.parametrize("exponent", [3, 6])
+@pytest.mark.parametrize("exponent", [3, 6, 8, 10])
 def test_iterate_matches_the_oracle_on_hostile_spreads(exponent):
-    # eigenvalue spreads up to 1e6 inside each of A and B; max_iter bounds the
-    # draws that need one step per eigenvalue ratio, which must say so.
+    # eigenvalue spreads up to 1e10 inside each of A and B; max_iter bounds
+    # the draws that need one step per eigenvalue ratio, which must say so.
     # Fails at 1e6 when the short is formed as A11 - A12 A22^+ A21.
     rng = np.random.default_rng([31, exponent])
     tol = Tolerances(max_iter=500)
@@ -171,3 +185,28 @@ def test_iterate_matches_the_oracle_on_hostile_spreads(exponent):
         dec = arlinskii_iterate(a, b, tol)
         if dec.converged:
             assert _error(dec, a, b) <= 1e-9, i
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_iterate_is_the_full_space_loop_of_the_public_step(seed):
+    # The k-th iterate H diag(g_k) H* is k full-space steps X <- X - X : A
+    # from B, not only in the limit: stopping after k steps returns it as sing.
+    # Fails when the recursion starts from g = 1 instead of 1 - y.
+    rng = np.random.default_rng([44, seed])
+    a = random_psd(rng, 7, 4, ratio=1e4)
+    b = random_psd(rng, 7, 5)
+    x = b
+    for k in range(1, 6):
+        x = arlinskii_step(x, a)
+        dec = arlinskii_iterate(a, b, Tolerances(max_iter=k))
+        assert not dec.converged and dec.iterations == k
+        assert np.linalg.norm(dec.sing.entries - x.entries) <= 1e-12 * b.norm, k
+        assert np.linalg.norm(dec.ac.entries + dec.sing.entries - b.entries) <= 1e-12 * b.norm
+
+
+def test_a_six_order_ratio_on_a_shared_line_is_bounded_and_flagged():
+    # A = [[1e-6]] against B = [[1]] needs about one step per unit of the
+    # ratio; a cap of 1e5 steps must end flagged, at the cap, without raising.
+    dec = arlinskii_iterate(PsdMatrix([[1e-6]]), PsdMatrix([[1.0]]), Tolerances(max_iter=10**5))
+    assert not dec.converged and dec.iterations == 10**5
+    assert 0.0 < dec.sing.entries[0, 0].real < 1.0

@@ -95,8 +95,8 @@ def test_iterate_non_convergence_is_flagged():
 @pytest.mark.parametrize("spread, draw, converged",
                          [(5, 114, True), (7, 8, False), (7, 17, True), (7, 74, False)])
 def test_iterate_carries_its_round_off_over_thousands_of_steps(spread, draw, converged):
-    # hostile draws whose iterates pick up round-off at the scale of B for
-    # hundreds to thousands of steps, more than one step's slack allows
+    # hostile draws that need hundreds to thousands of steps: the flag, and
+    # the parts when converged, must hold over the whole run
     rng = np.random.default_rng([31, spread])
     for _ in range(draw + 1):
         a, b = random_pair(rng, 12, ratio=10.0**spread)
