@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_TOL, PsdMatrix, Tolerances, _frobenius, psd_by_construction
+from .core import DEFAULT_TOL, PsdMatrix, Tolerances, _eigvalsh, _frobenius, psd_by_construction
 from .forms import SesquilinearForm, form_decompose, form_parallel_sum
 from .functionals import (
     Functional,
@@ -195,7 +195,7 @@ def _to_json(x):
 
 
 def _min_eig(diff: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(diff)[0]) if diff.shape[0] else 0.0
+    return float(_eigvalsh(diff)[0]) if diff.shape[0] else 0.0
 
 
 def _cmd_psum(args, problem, tol, digest):

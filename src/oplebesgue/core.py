@@ -261,6 +261,13 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
 
 
+def _svd(m: np.ndarray, full_matrices: bool):
+    try:
+        return np.linalg.svd(m, full_matrices=full_matrices)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed to converge: {exc}") from exc
+
+
 class _Factorization(NamedTuple):
     """A matrix's own eigendecomposition with its Frobenius-norm residuals:
     ``recon`` = ||M - V diag(w) V*||, ``ortho`` = ||V* V - I||."""

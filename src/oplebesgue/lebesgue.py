@@ -15,10 +15,10 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    NumericalError,
     PsdMatrix,
     Tolerances,
     _frobenius,
+    _svd,
     eig_hermitian,
     factor_psd,
     psd_by_construction,
@@ -105,13 +105,6 @@ def arlinskii_step(x: PsdMatrix, a: PsdMatrix, tol: Tolerances = DEFAULT_TOL) ->
                           "Arlinskii step", tol)
 
 
-def _svd(m: np.ndarray, full_matrices: bool):
-    try:
-        return np.linalg.svd(m, full_matrices=full_matrices)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed to converge: {exc}") from exc
-
-
 def _range_compression(
     a: PsdMatrix, b: PsdMatrix, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,7 +161,9 @@ def arlinskii_iterate(
     y = np.clip(np.pad(root_y**2, (0, lam.size - root_y.size)), 0.0, 1.0)
     h = u @ (p * s) @ w
     weight = np.sum(np.abs(h) ** 2, axis=0)
-    threshold = tol.iter_tol * b.trace
+    # B's round-off may leave tr B slightly negative; no increment reaches a
+    # negative threshold
+    threshold = max(tol.iter_tol * b.trace, 0.0)
     g = 1.0 - y
     converged = False
     for iterations in range(1, tol.max_iter + 1):

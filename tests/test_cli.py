@@ -396,9 +396,20 @@ def test_cross_check_runs_each_method_once(capsys, monkeypatch, name, method):
     assert extra == plain["diagnostics"]
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize dominates import time and only the variational oracle uses it
-    probe = "import sys, oplebesgue.cli; print('scipy.optimize' in sys.modules)"
+def test_cli_and_selftest_load_no_package_but_numpy():
+    # numpy is the only runtime dependency: importing the CLI and running every
+    # bundled fixture, the variational oracle's included, loads no other
+    # package outside the standard library
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import oplebesgue.cli\n"
+        "from oplebesgue import selftest\n"
+        "failed = [o.name for o in selftest.run_all() if not o.ok]\n"
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "other = loaded - set(sys.stdlib_module_names) - {'numpy', 'oplebesgue'}\n"
+        "print(json.dumps({'failed': failed, 'other': sorted(other)}))\n"
+    )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert json.loads(result.stdout) == {"failed": [], "other": []}

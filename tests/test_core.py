@@ -1,10 +1,14 @@
 """Hermitian PSD kernel: construction, eigendecomposition, pinv, projections, order."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oplebesgue
 from oplebesgue import (
     DEFAULT_TOL,
     DimensionMismatchError,
@@ -293,3 +297,12 @@ def test_clip_keeps_the_clipped_spectrum_inside_the_noise(eigensolves):
     fresh = np.sort(np.linalg.eigvalsh(m.entries))[::-1]
     assert np.allclose(dec.eigenvalues, fresh, rtol=0.0, atol=1e-12 * m.norm)
     assert np.allclose(m.entries, h, rtol=0.0, atol=1e-11)
+
+
+def test_only_core_calls_the_eigensolvers():
+    # One solver boundary: core turns a LAPACK failure into NumericalError and
+    # looks numpy up at call time, so the eigensolves fixture sees every call.
+    call = re.compile(r"(?<!\w)(eigh|eigvalsh|svd)\s*\(|linalg import")
+    package = Path(oplebesgue.__file__).parent
+    callers = sorted(path.name for path in package.glob("*.py") if call.search(path.read_text()))
+    assert callers == ["core.py"]

@@ -210,3 +210,16 @@ def test_a_six_order_ratio_on_a_shared_line_is_bounded_and_flagged():
     dec = arlinskii_iterate(PsdMatrix([[1e-6]]), PsdMatrix([[1.0]]), Tolerances(max_iter=10**5))
     assert not dec.converged and dec.iterations == 10**5
     assert 0.0 < dec.sing.entries[0, 0].real < 1.0
+
+
+def test_a_slightly_negative_trace_of_b_still_stops():
+    # B = diag(-1e-11, 0) is PSD within the constructor's slack, with no kept
+    # eigenvalue and tr B < 0.  Fails when the stopping threshold
+    # iter_tol * tr B is not clamped at zero: no increment reaches it, so
+    # every one of max_iter steps runs and the result is flagged.
+    a = PsdMatrix.identity(2)
+    b = PsdMatrix(np.diag([-1e-11, 0.0]))
+    dec = arlinskii_iterate(a, b, Tolerances(max_iter=10**5))
+    assert dec.converged and dec.iterations <= 3
+    slack = DEFAULT_TOL.psd_slack * (a.norm + b.norm)
+    assert np.linalg.norm(dec.ac.entries + dec.sing.entries - b.entries) <= slack

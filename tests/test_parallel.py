@@ -14,6 +14,7 @@ from oplebesgue import (
     spectral_ac_of_contraction,
     variational_value,
 )
+from oplebesgue import parallel
 
 from helpers import anderson_trapp_ac, random_contraction, random_pair, random_psd
 
@@ -69,6 +70,15 @@ def test_variational_rejects_bad_vector():
         variational_value(PsdMatrix.identity(2), PsdMatrix.identity(2), [1.0])
 
 
+def test_variational_raises_with_its_best_value_when_not_stationary(monkeypatch):
+    # with no conjugate-gradient step allowed y stays 0: f(0) = <Ax, x> = 1,
+    # and the gradient 2(A+B)0 - 2Ax has norm 2 > 1e-6 * (1 + 1)
+    monkeypatch.setattr(parallel, "_CG_STEPS_PER_DIM", 0)
+    with pytest.raises(NumericalError, match="best value found 1.0") as info:
+        variational_value(PsdMatrix.identity(2), PsdMatrix.identity(2), [1.0, 0.0])
+    assert info.value.residual == pytest.approx(2.0)
+
+
 def test_commutativity():
     rng = np.random.default_rng(21)
     for _ in range(15):
@@ -108,6 +118,23 @@ def test_variational_consistency():
             quad = float(np.real(np.vdot(x, s.entries @ x)))
             oracle = variational_value(a, b, x)
             assert abs(quad - oracle) <= 1e-6 * (1.0 + abs(quad))
+
+
+@pytest.mark.parametrize("dim, ratio", [(8, 1e6), (8, 1e8), (64, 1e6), (64, 1e8)])
+def test_variational_consistency_on_wide_spreads(dim, ratio):
+    # A + B is singular on most draws: one conjugate-gradient pass from y = 0
+    # stays in ran(A + B), and at n = 64 the wide spread needs many more than
+    # n steps before the gradient is stationary
+    rng = np.random.default_rng([24, dim, int(np.log10(ratio))])
+    for _ in range(5):
+        a = random_psd(rng, dim, int(rng.integers(dim // 4, dim + 1)), ratio)
+        b = random_psd(rng, dim, int(rng.integers(dim // 4, dim + 1)), ratio)
+        s = parallel_sum(a, b)
+        for _ in range(4):
+            x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            quad = float(np.real(np.vdot(x, s.entries @ x)))
+            oracle = variational_value(a, b, x)
+            assert abs(quad - oracle) <= 1e-8 * (1.0 + abs(oracle))
 
 
 def test_invertible_closed_form_against_inverse_route():
