@@ -86,6 +86,33 @@ def _nearest_in_order_interval(h: np.ndarray, upper: np.ndarray, noise: float,
 _SCALE_SPLIT_RATIO = 100.0
 
 
+def _kernel_split_solve(lam: np.ndarray, s11: np.ndarray, s10: np.ndarray, s00: np.ndarray,
+                        rhs1: np.ndarray, rhs0: np.ndarray, small_norm: float,
+                        tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """(D + S)^+ [rhs1; rhs0] in a basis that splits the large operand D into
+    its kept eigenvalues ``lam`` (D = diag(lam) there) and its kernel.
+
+    S is the small operand in that basis, with blocks ``s11`` (kept x kept),
+    ``s10`` (kept x kernel) and ``s00`` (kernel x kernel), of norm
+    ``small_norm``; the solution comes back split the same way.  The kept
+    block is inverted by a well-conditioned solve against h = diag(lam) +
+    s11, and the kernel block through the Schur complement s00 - s10* h^-1
+    s10, which lives entirely at the small scale.
+    """
+    h = np.diag(lam) + s11
+    hinv_f = np.linalg.solve(h, s10)
+    raw_schur = s00 - s10.conj().T @ hinv_f
+    schur = clip_psd(raw_schur, roundoff(lam.size + s00.shape[0], small_norm), tol,
+                     "Schur complement")
+    # Its rank is decided against ||S||: when S lies in the large operand's
+    # range the complement is round-off, which its own largest eigenvalue
+    # would keep.
+    schur_pinv = pinv(schur, tol, reference=small_norm).entries
+    z0 = schur_pinv @ (rhs0 - hinv_f.conj().T @ rhs1)
+    z1 = np.linalg.solve(h, rhs1 - s10 @ z0)
+    return z1, z0
+
+
 def _scaled_pseudo_apply(big: PsdMatrix, small: PsdMatrix, tol: Tolerances) -> np.ndarray:
     """(big + small)^+ small, evaluated stably under a large norm mismatch.
 
@@ -93,28 +120,16 @@ def _scaled_pseudo_apply(big: PsdMatrix, small: PsdMatrix, tol: Tolerances) -> n
     the small operand's scale once the mismatch exceeds about 1/rank_rtol,
     and the eigenvectors of the mixed-scale sum lose accuracy long before
     that.  Splitting along the range and kernel of the large operand keeps
-    every block at its natural scale: the range block is inverted by a
-    well-conditioned solve and the kernel block through the Schur complement,
-    which lives entirely at the small scale.
+    every block at its natural scale (``_kernel_split_solve``).
     """
     dec = eig_hermitian(big, tol)
     keep = tol.support(dec.eigenvalues)
     u1 = dec.vectors[:, keep]
     u0 = dec.vectors[:, ~keep]
     s = small.entries
-    h = np.diag(dec.eigenvalues[keep]) + u1.conj().T @ s @ u1
-    f = u1.conj().T @ s @ u0
-    g = u0.conj().T @ s @ u0
-    hinv_f = np.linalg.solve(h, f)
-    raw_schur = g - f.conj().T @ hinv_f
-    schur = clip_psd(raw_schur, roundoff(big.dim, small.norm), tol, "Schur complement")
-    # Its rank is decided against ||small||: when small lies in big's range the
-    # complement is round-off, which its own largest eigenvalue would keep.
-    schur_pinv = pinv(schur, tol, reference=small.norm).entries
-    y1 = u1.conj().T @ s
-    y0 = u0.conj().T @ s
-    z0 = schur_pinv @ (y0 - hinv_f.conj().T @ y1)
-    z1 = np.linalg.solve(h, y1 - f @ z0)
+    z1, z0 = _kernel_split_solve(
+        dec.eigenvalues[keep], u1.conj().T @ s @ u1, u1.conj().T @ s @ u0,
+        u0.conj().T @ s @ u0, u1.conj().T @ s, u0.conj().T @ s, small.norm, tol)
     return u1 @ z1 + u0 @ z0
 
 
@@ -217,7 +232,8 @@ class AndoLimitResult:
     ac_part: the absolutely continuous part of B, settled into [0, B]: the
         Romberg-extrapolated limit when the table settled first, otherwise
         the last term of the schedule.
-    terms_used: number of parallel sums evaluated along the schedule.
+    terms_used: number of doubling terms (2^k A) : B evaluated along the
+        schedule; one when A has no kept eigenvalue and every term is zero.
     final_increment: the last change of the table's diagonal (Frobenius
         norm) when the extrapolated limit is returned, otherwise the trace
         increment between the last two terms.
@@ -249,8 +265,16 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     """Increasing limit of (n A) : B along n = 2^k, k = 0..40, extrapolated.
 
     The limit is the maximal part of B absolutely continuous with respect to
-    A.  ``(tA) : B`` is a rational function of s = 1/t, analytic at 0, so
-    the terms expand as T_k = L + c_1 2^-k + c_2 4^-k + ...  Romberg's table
+    A.  The schedule runs in A's own eigenbasis U = [U1 | U0] (kept | rest),
+    with Lam the kept eigenvalues: B is rotated once to Bt = U* B U, and
+    every term is Bt - Bt (D_k + Bt)^+ Bt, with D_k = 2^k Lam on the kept
+    block and 0 on the rest, evaluated by the kernel-split solve of
+    ``parallel_sum`` and kept as its Hermitian part.  No term is factored;
+    the limit is settled into [0, Bt] once and rotated back once.  A
+    reference with no kept eigenvalue makes every term zero.
+
+    ``(tA) : B`` is a rational function of s = 1/t, analytic at 0, so the
+    terms expand as T_k = L + c_1 2^-k + c_2 4^-k + ...  Romberg's table
     (Romberg 1955) cancels those error terms order by order; one row of it
     is kept and updated in place, so at most ``terms_used`` n x n arrays are
     live.  The schedule stops at the first of two rules, each with stopping
@@ -272,20 +296,37 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     never silently.
     """
     require_same_dim(a, b)
+    dec = eig_hermitian(a, tol)
+    keep = tol.support(dec.eigenvalues)
+    if not keep.any():
+        return AndoLimitResult(PsdMatrix.zero(b.dim), 1, 0.0, True)
+    lam = dec.eigenvalues[keep]
+    u = np.hstack([dec.vectors[:, keep], dec.vectors[:, ~keep]])
+    bt = u.conj().T @ b.entries @ u
+    bt = bt / 2.0 + bt.conj().T / 2.0
+    r = lam.size
+    b1, b0 = bt[:r], bt[r:]
+
+    def term(k: int) -> np.ndarray:
+        z1, z0 = _kernel_split_solve((2.0**k) * lam, b1[:, :r], b1[:, r:], b0[:, r:], b1, b0,
+                                     b.norm, tol)
+        t = bt - b1.conj().T @ z1 - b0.conj().T @ z0
+        return t / 2.0 + t.conj().T / 2.0
+
     threshold = tol.iter_tol * b.trace
-    current = parallel_sum(a, b, tol)
+    current = term(0)
     terms = 1
     increment = 0.0
     converged = False
-    row = [current.entries]
+    row = [current]
     change = np.inf
     extrapolated = None
     # Increments below the arithmetic resolution of a step carry no signal;
-    # the kernel-deflated evaluation keeps that resolution flat in k.
+    # the kernel-split evaluation keeps that resolution flat in k.
     step_noise = 8.0 * roundoff(b.dim, a.norm + b.norm)
     for k in range(1, ANDO_MAX_DOUBLINGS + 1):
-        nxt = parallel_sum((2.0**k) * a, b, tol)
-        raw = nxt.trace - current.trace
+        nxt = term(k)
+        raw = float(np.trace(nxt).real) - float(np.trace(current).real)
         if raw < -step_noise:
             # the sequence is increasing, so a genuine drop certifies that the
             # scaled step degraded; keep the last clean term
@@ -297,7 +338,7 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
             converged = True
             break
         diagonal = row[-1]
-        _romberg_update(row, current.entries)
+        _romberg_update(row, current)
         previous_change, change = change, _frobenius(row[-1] - diagonal)
         if max(previous_change, change) <= threshold:
             converged, increment, extrapolated = True, change, row[-1]
@@ -305,14 +346,15 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
         if increment <= step_noise:
             break
     if extrapolated is None:
-        limit, noise = current.entries, step_noise
+        limit, noise = current, step_noise
     else:
         limit, noise = extrapolated, _ROMBERG_GROWTH * step_noise
-    # The limit sits in the order interval [0, B]; round-off can push the
+    # The limit sits in the order interval [0, Bt]; round-off can push the
     # computed term slightly outside, so settle it back (which validates it).
     budget = 1e4 * max(noise, threshold)
-    settled = _nearest_in_order_interval(limit, b.entries, budget, tol, "doubling limit")
-    return AndoLimitResult(psd_by_construction(settled, tol), terms, increment, converged)
+    settled = _nearest_in_order_interval(limit, bt, budget, tol, "doubling limit")
+    ac = u @ settled @ u.conj().T
+    return AndoLimitResult(psd_by_construction(ac, tol), terms, increment, converged)
 
 
 def spectral_ac_of_contraction(bt: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:

@@ -60,9 +60,29 @@ def test_ando_eigensolve_count(eigensolves):
     # Romberg diagonal meets it twice in a row after 15 terms, where the
     # plain trace increments need 37
     assert result.converged and result.terms_used == 15
-    # the one eigvalsh is the settling loop's stop check, which also
-    # validates the settled limit
-    assert _tally(eigensolves) == {("eigh", 4): 10, ("eigh", 12): 23, ("eigvalsh", 12): 1}
+    # A has rank 8: one eigh factors it, and each term's only eigensolve is
+    # the clip of its Schur complement on the 4-dim kernel of A; the two
+    # size-12 eighs are the settling round's projections, and the one
+    # eigvalsh is its stop check, which also validates the settled limit
+    assert _tally(eigensolves) == {("eigh", 12): 3, ("eigh", 4): 15, ("eigvalsh", 12): 1}
+
+
+def test_ando_calls_no_other_route(monkeypatch):
+    # the three-way cross-check compares independent computations, so the
+    # doubling limit must not run the parallel sum or the other two routes'
+    # constructions
+    from oplebesgue import lebesgue, parallel
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ando_ac_part reached another route")
+
+    for module, name in ((parallel, "parallel_sum"), (parallel, "_scaled_pseudo_apply"),
+                         (lebesgue, "parallel_sum"), (lebesgue, "auxiliary_space"),
+                         (lebesgue, "_range_compression")):
+        monkeypatch.setattr(module, name, forbidden)
+    rng = np.random.default_rng(5)
+    a, b = random_psd(rng, 12, rank=8), random_psd(rng, 12, rank=10)
+    assert ando_ac_part(a, b).converged
 
 
 def test_iterate_eigensolve_count(eigensolves):

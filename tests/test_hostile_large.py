@@ -1,0 +1,67 @@
+"""Hostile pairs at n = 64 and 128: each answer is within 1e-9 * ||B|| of the
+Anderson-Trapp oracle, or flagged unconverged.
+
+The n <= 12 sweeps hide defects that larger dimensions show: more
+eigenvalues near the bottom of the spread, and longer doubling schedules.
+``direct`` is left out until its auxiliary space is built from root
+factors: further along the n = 128, spread 1e8 sequence (draw 5) it raises,
+its auxiliary contraction below the PSD slack.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from oplebesgue import Tolerances, ando_ac_part, arlinskii_iterate
+
+from helpers import anderson_trapp_ac, random_psd
+
+# caps iterate's one-step-per-eigenvalue-ratio draws, which end flagged
+_TOL = Tolerances(max_iter=3000)
+
+
+@functools.lru_cache(maxsize=None)
+def _draw(dim, exponent, index):
+    """Draw ``index`` of ``default_rng([32, dim, exponent])``: ranks uniform in
+    [dim/4, dim], eigenvalue spread 10^exponent; with its oracle ac part."""
+    rng = np.random.default_rng([32, dim, exponent])
+    for _ in range(index + 1):
+        a = random_psd(rng, dim, int(rng.integers(dim // 4, dim + 1)), 10.0**exponent)
+        b = random_psd(rng, dim, int(rng.integers(dim // 4, dim + 1)), 10.0**exponent)
+    return a, b, anderson_trapp_ac(a.entries, b.entries)
+
+
+def _draws(route):
+    for dim in (64, 128):
+        for exponent in (3, 6, 8):
+            for index in range(2):
+                marks = ()
+                if route == "ando" and (dim, exponent, index) == (64, 8, 1):
+                    # A's two smallest kept eigenvalues are 1.1e-8 * ||A||, so
+                    # double precision fixes ran A only to about 1e-8: against a
+                    # 40-digit evaluation of the same short, ando is 3.3e-9,
+                    # direct 8.6e-9 and the oracle 1.3e-9 * ||B|| off, and ando
+                    # still says converged
+                    marks = pytest.mark.xfail(
+                        strict=True, reason="converged 3.4e-9 * ||B|| off the oracle")
+                yield pytest.param(dim, exponent, index, marks=marks)
+
+
+def _assert_near_oracle_or_flagged(ac, converged, b, oracle):
+    if converged:
+        assert np.linalg.norm(ac.entries - oracle) <= 1e-9 * b.norm
+
+
+@pytest.mark.parametrize("dim, exponent, index", _draws("ando"))
+def test_ando_is_near_the_oracle_or_flagged(dim, exponent, index):
+    a, b, oracle = _draw(dim, exponent, index)
+    result = ando_ac_part(a, b, _TOL)
+    _assert_near_oracle_or_flagged(result.ac_part, result.converged, b, oracle)
+
+
+@pytest.mark.parametrize("dim, exponent, index", _draws("iterate"))
+def test_iterate_is_near_the_oracle_or_flagged(dim, exponent, index):
+    a, b, oracle = _draw(dim, exponent, index)
+    result = arlinskii_iterate(a, b, _TOL)
+    _assert_near_oracle_or_flagged(result.ac, result.converged, b, oracle)

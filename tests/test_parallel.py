@@ -15,6 +15,7 @@ from oplebesgue import (
     variational_value,
 )
 from oplebesgue import parallel
+from oplebesgue.lebesgue import arlinskii_iterate
 
 from helpers import anderson_trapp_ac, random_contraction, random_pair, random_psd
 
@@ -184,15 +185,47 @@ def test_ando_result_contract():
             assert result.final_increment <= DEFAULT_TOL.iter_tol * (1.0 + result.ac_part.trace)
 
 
+def _draw(seed, index, ratio):
+    """Draw ``index`` (counted from 0) of ``random_pair(default_rng(seed), 12, ratio)``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        a, b = random_pair(rng, 12, ratio=ratio)
+    return a, b
+
+
 def test_unsettled_doubling_limit_is_a_named_failure():
-    # a rank-ambiguous pair (spread 1e14) whose last term the settling
-    # rounds cannot bring back into [0, B]
-    rng = np.random.default_rng(14)
-    for _ in range(10):
-        a, b = random_pair(rng, 12, ratio=1e14)
+    # a pair at spread 1e10 whose limit the settling rounds cannot bring back
+    # into [0, B]
+    a, b = _draw([31, 10], 143, 1e10)
     with pytest.raises(NumericalError, match="doubling limit") as info:
         ando_ac_part(a, b)
     assert info.value.residual > 0.0
+
+
+def test_rank_ambiguous_pair_settles_near_iterate():
+    # the tenth draw of default_rng(14), at spread 1e14, is rank-ambiguous,
+    # so iterate is the comparison, not the oracle
+    a, b = _draw(14, 9, 1e14)
+    result = ando_ac_part(a, b)
+    assert result.converged
+    gap = np.linalg.norm(result.ac_part.entries - arlinskii_iterate(a, b).ac.entries)
+    assert gap <= 1e-9 * b.norm
+
+
+@pytest.mark.parametrize("seed, index, ratio", [([31, 10], 96, 1e10), ([31, 12], 88, 1e12)])
+def test_zero_reference_drawn_has_a_zero_limit(seed, index, ratio):
+    a, b = _draw(seed, index, ratio)
+    assert a.norm == 0.0
+    result = ando_ac_part(a, b)
+    assert result.converged
+    assert np.array_equal(result.ac_part.entries, np.zeros_like(b.entries))
+
+
+def test_zero_reference_with_a_wide_spread_has_a_zero_limit():
+    b = PsdMatrix(np.diag([0.69, 1.1e-6, 3e-9, 1.9e-10]))
+    result = ando_ac_part(PsdMatrix.zero(4), b)
+    assert result.converged
+    assert np.array_equal(result.ac_part.entries, np.zeros((4, 4)))
 
 
 @pytest.mark.parametrize(
