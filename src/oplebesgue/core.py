@@ -254,11 +254,42 @@ def psd_difference(x: PsdMatrix, y: PsdMatrix, noise: float, context: str,
     return PsdMatrix._checked(h, None)
 
 
+def _blocks(h: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of h's exact nonzero pattern
+    (i and j linked when h[i, j] or h[j, i] is nonzero), each ascending, in
+    order of their smallest index.  A matrix whose row 0 has no zero off the
+    diagonal is one component, found without reading the rest; otherwise a
+    breadth-first search reads each row once, so detection is O(n^2)."""
+    n = h.shape[0]
+    if n < 2 or np.all(h[0, 1:] != 0):
+        return [np.arange(n)]
+    linked = h != 0
+    linked |= linked.T
+    unseen = np.ones(n, dtype=bool)
+    blocks = []
+    for start in range(n):
+        if not unseen[start]:
+            continue
+        member = np.zeros(n, dtype=bool)
+        member[start] = True
+        frontier = member
+        while frontier.any():
+            reached = linked[frontier].any(axis=0) & ~member
+            member |= reached
+            frontier = reached
+        unseen &= ~member
+        blocks.append(np.flatnonzero(member))
+    return blocks
+
+
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues ascending: the sorted union over the blocks of ``_blocks``,
+    one solver call each."""
     try:
-        return np.linalg.eigvalsh(h)
+        parts = [np.linalg.eigvalsh(h[np.ix_(idx, idx)]) for idx in _blocks(h)]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
+    return np.sort(np.concatenate(parts))
 
 
 def _svd(m: np.ndarray, full_matrices: bool):
@@ -283,14 +314,31 @@ class _Factorization(NamedTuple):
 
 
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenvalues (descending, stable order), eigenvectors V and ||V* V - I||."""
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    """Eigenvalues (descending, stable order), eigenvectors V and ||V* V - I||,
+    with one solver call per block of ``_blocks``.  Each block's eigenvectors
+    fill only its own rows of V, so V* V - I is zero between blocks and its
+    norm is the root sum of squares of the blocks' own residuals."""
+    blocks = _blocks(h)
+    values, vectors, residuals = [], [], []
+    for idx in blocks:
+        try:
+            w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+        order = np.argsort(-w, kind="stable")
+        v = v[:, order]
+        values.append(w[order])
+        vectors.append(v)
+        residuals.append(_frobenius(v.conj().T @ v - np.eye(idx.size)))
+    w = np.concatenate(values)
+    v = np.zeros((w.size, w.size), dtype=vectors[0].dtype)
+    start = 0
+    for idx, block in zip(blocks, vectors):
+        v[idx, start:start + idx.size] = block
+        start += idx.size
     order = np.argsort(-w, kind="stable")
-    v = np.ascontiguousarray(v[:, order])
-    return np.ascontiguousarray(w[order]), v, _frobenius(v.conj().T @ v - np.eye(v.shape[0]))
+    return (np.ascontiguousarray(w[order]), np.ascontiguousarray(v[:, order]),
+            math.hypot(*residuals))
 
 
 def _factor(h: np.ndarray) -> _Factorization:

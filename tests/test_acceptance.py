@@ -171,7 +171,7 @@ def test_criterion_05_variational_oracle():
             x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             quad = float(np.real(np.vdot(x, summed.entries @ x)))
             oracle = variational_value(a, b, x)
-            worst = max(worst, abs(quad - oracle) / (1e-6 * (1.0 + abs(oracle))))
+            worst = max(worst, abs(quad - oracle) / (1e-10 * (1.0 + abs(oracle))))
     report(5, f"closed form matches the generic minimizer on 1000 evaluations "
               f"(worst {worst:.3f}x tol)", worst <= 1.0)
 

@@ -18,6 +18,8 @@ from oplebesgue import (
     decompose,
     eig_hermitian,
     evaluate,
+    functional_decompose,
+    functional_parallel_sum,
     gns,
     induced_form,
 )
@@ -123,6 +125,43 @@ def test_gns_cutoff_is_relative_to_the_largest_block(small, kept):
     value = complex(np.vdot(triplet.cyclic_vector,
                             triplet.represent(small_block) @ triplet.cyclic_vector))
     assert value == pytest.approx(evaluate(w, small_block) if kept else 0.0, abs=1e-20)
+
+
+def _two_scale_pair(small):
+    """w with a full-rank block at scale 1 and one at ``small``; v agrees with
+    w on the first block and is zero on the second, where w is v-singular."""
+    algebra = StarAlgebra((2, 3))
+    large = PsdMatrix(np.diag([1.0, 0.5]))
+    w = Functional(algebra, (large, PsdMatrix(small * np.diag([1.0, 0.7, 0.4]))))
+    v = Functional(algebra, (large, PsdMatrix.zero(3)))
+    summed = Functional(algebra, tuple(x + y for x, y in zip(w.densities, v.densities)))
+    return w, v, summed, algebra.element([np.zeros((2, 2)), np.eye(3)])
+
+
+@pytest.mark.parametrize("method", ["direct", "iterate", "ando"])
+@pytest.mark.parametrize("small,kept", [(1e-12, False), (1e-9, True)])
+def test_functional_decompose_cutoff_is_relative_to_the_largest_block(small, kept, method):
+    # the Gram of w + v is solved block by block, but the support of the sum
+    # is decided against its largest eigenvalue over all blocks: the block at
+    # 1e-12 is dropped, so no part of w there is v-singular, while a cutoff
+    # per block would keep it and put all of w's second block in sing
+    w, v, summed, small_block = _two_scale_pair(small)
+    assert _dense_space_dim(summed) == 2 * 2 + (3 * 3 if kept else 0)
+    dec = functional_decompose(w, v, method)
+    assert dec.converged
+    assert evaluate(dec.sing, small_block) == pytest.approx(
+        evaluate(w, small_block) if kept else 0.0, abs=1e-20)
+
+
+@pytest.mark.parametrize("small,kept", [(1e-12, False), (1e-9, True)])
+def test_functional_parallel_sum_cutoff_is_relative_to_the_largest_block(small, kept):
+    # w : w = w / 2 on the kept blocks; the block at 1e-12 is outside the
+    # support of w + w under the global cutoff, where W - W (2 W)^+ W leaves
+    # W, while a cutoff per block would halve it
+    w, _, _, small_block = _two_scale_pair(small)
+    assert _dense_space_dim(w) == 2 * 2 + (3 * 3 if kept else 0)
+    value = evaluate(functional_parallel_sum(w, w), small_block)
+    assert value == pytest.approx(evaluate(w, small_block) / (2.0 if kept else 1.0), abs=1e-20)
 
 
 @pytest.mark.parametrize("spread,across", [(1e3, 1.0), (1e6, 1e6), (1e12, 1e12)])

@@ -203,22 +203,30 @@ def test_form_psum_runs_one_parallel_sum(capsys, eigensolves):
     code, _, _ = run_json(capsys, "psum", str(DATA / "form_pair.json"))
     assert code == 0
     # eigh factors the sum and clips the product; eigvalsh validates the two
-    # input Grams and computes the two min-eig diagnostics
-    assert Counter(name for name, _ in eigensolves) == {"eigh": 2, "eigvalsh": 4}
+    # input Grams and computes the two min-eig diagnostics.  T = [[1, 1], [1, 1]]
+    # and the sum are dense, while W = diag(1, 0), W - T:W (T:W = 0) and the
+    # clipped product split into two decoupled 1-dim blocks, one call each
+    assert Counter((name, h.shape[0]) for name, h in eigensolves) == {
+        ("eigh", 2): 1, ("eigh", 1): 2, ("eigvalsh", 2): 2, ("eigvalsh", 1): 4}
 
 
 @pytest.mark.parametrize("args,expected", [
-    (("psum",), 2),
-    (("decompose",), 0),
-    (("decompose", "--cross-check"), 0),
+    (("psum",), 9),
+    (("decompose",), 5),
+    (("decompose", "--cross-check"), 12),
 ], ids=["psum", "decompose", "cross-check"])
 def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolves, args,
                                                               expected):
     # the direct sum of validated densities (blocks 2 and 1) is PSD by
-    # construction; psum's only size-3 eigvalsh are its min-eig diagnostics
+    # construction.  The only eigvalsh calls are the five that validate the
+    # four densities as they are parsed (v's first density is I_2, two 1-dim
+    # blocks), psum's two min-eig diagnostics, each one call per block of
+    # the direct sum, and the cross-check's own checks on the 5-dim Gram (one
+    # dense call and two of three blocks each); revalidating a direct sum adds
+    # a call per block
     code, _, _ = run_json(capsys, *args, str(DATA / "functional_pair.json"))
     assert code == 0
-    assert sum(name == "eigvalsh" and h.shape[0] == 3 for name, h in eigensolves) == expected
+    assert sum(name == "eigvalsh" for name, _ in eigensolves) == expected
 
 
 def test_check_runs_one_parallel_sum_of_the_pair(capsys, monkeypatch):

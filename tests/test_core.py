@@ -21,17 +21,21 @@ from oplebesgue import (
     range_projection,
 )
 
-from oplebesgue.core import clip_psd, psd_difference
+from oplebesgue.core import _blocks, _eigh, _eigvalsh, clip_psd, psd_difference
 
 from helpers import random_psd, random_unitary
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
 
-def test_eig_identity():
-    dec = eig_hermitian(PsdMatrix.identity(2))
-    assert np.allclose(dec.eigenvalues, [1.0, 1.0])
-    assert np.allclose(dec.vectors, np.eye(2))
+def test_eig_identity(eigensolves):
+    # the identity is five decoupled 1-dim blocks, which keep their order
+    identity = PsdMatrix.identity(5)
+    eigensolves.clear()
+    dec = eig_hermitian(identity)
+    assert np.array_equal(dec.eigenvalues, np.ones(5))
+    assert np.array_equal(dec.vectors, np.eye(5))
+    assert [(name, h.shape) for name, h in eigensolves] == [("eigh", (1, 1))] * 5
 
 
 def test_eig_diagonal():
@@ -297,6 +301,60 @@ def test_clip_keeps_the_clipped_spectrum_inside_the_noise(eigensolves):
     fresh = np.sort(np.linalg.eigvalsh(m.entries))[::-1]
     assert np.allclose(dec.eigenvalues, fresh, rtol=0.0, atol=1e-12 * m.norm)
     assert np.allclose(m.entries, h, rtol=0.0, atol=1e-11)
+
+
+def _permuted_direct_sum(rng):
+    """Dense blocks of sizes 3, 2 and 1 at scales 1, 1e-12 and 0.3, with their
+    indices shuffled by one symmetric permutation: (matrix, index sets)."""
+    blocks = [random_psd(rng, 3).entries, random_psd(rng, 2, scale=1e-12).entries,
+              np.array([[0.3]])]
+    dense = np.zeros((6, 6), dtype=complex)
+    dense[:3, :3], dense[3:5, 3:5], dense[5:, 5:] = blocks
+    perm = rng.permutation(6)
+    inverse = np.argsort(perm)
+    sets = sorted((np.sort(inverse[list(r)]) for r in (range(3), range(3, 5), range(5, 6))),
+                  key=lambda idx: idx[0])
+    return dense[np.ix_(perm, perm)], sets
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decoupled_blocks_are_solved_one_call_each(eigensolves, seed):
+    h, sets = _permuted_direct_sum(np.random.default_rng([9, seed]))
+    assert [idx.tolist() for idx in _blocks(h)] == [idx.tolist() for idx in sets]
+    eigensolves.clear()
+    w, v, ortho = _eigh(h)
+    assert sorted(x.shape[0] for _, x in eigensolves) == [1, 2, 3]
+    assert all(name == "eigh" for name, _ in eigensolves)
+    assert np.allclose(w, np.linalg.eigvalsh(h)[::-1], rtol=0.0, atol=1e-14)
+    assert np.allclose(_eigvalsh(h), np.sort(w), rtol=1e-12, atol=0.0)
+    # every eigenvector lives on the rows of one block, and the block at
+    # 1e-12 keeps its own eigenvalues to relative accuracy
+    for column in v.T:
+        assert any(set(np.flatnonzero(column)) <= set(idx) for idx in sets)
+    small = next(idx for idx in sets if idx.size == 2)
+    assert np.allclose(np.sort(w[w < 1e-9]), np.linalg.eigvalsh(h[np.ix_(small, small)]),
+                       rtol=1e-12, atol=0.0)
+    assert ortho <= 1e-14
+    assert np.allclose((v * w) @ v.conj().T, h, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("zero_entry", [False, True], ids=["dense", "one-zero"])
+def test_one_block_is_one_plain_solver_call(eigensolves, zero_entry):
+    # a matrix of one block gives exactly numpy's eigh with the stable
+    # descending sort, also when row 0 has a zero and the search runs
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    h = x + x.conj().T
+    if zero_entry:
+        h[0, 1] = h[1, 0] = 0.0
+    eigensolves.clear()
+    w, v, _ = _eigh(h)
+    assert [(name, m.shape) for name, m in eigensolves] == [("eigh", (7, 7))]
+    w_ref, v_ref = np.linalg.eigh(h)
+    order = np.argsort(-w_ref, kind="stable")
+    assert np.array_equal(w, w_ref[order])
+    assert np.array_equal(v, v_ref[:, order])
+    assert np.array_equal(_eigvalsh(h), np.linalg.eigvalsh(h))
 
 
 def test_only_core_calls_the_eigensolvers():

@@ -116,8 +116,13 @@ def test_functional_decompose_eigensolve_count(eigensolves):
     w, v = _block_pair(eigensolves)
     functional_decompose(w, v)
     # eigh factors the sum and a_tilde, then clips each rebuilt density once;
-    # the induced Grams, sing and ac are positive by construction
-    assert _tally(eigensolves) == {("eigh", 13): 2, ("eigh", 2): 2, ("eigh", 3): 2}
+    # the induced Grams, sing and ac are positive by construction.  A 13-dim
+    # Gram kron(I_2, rho_1^T) + kron(I_3, rho_2^T) is solved as its five
+    # decoupled blocks (2, 2, 3, 3, 3), and so is a_tilde; of the densities,
+    # ac on block 1 (2) and sing on block 2 (3) are dense, while sing on
+    # block 1 and ac on block 2 are exactly zero, one call per diagonal entry
+    assert _tally(eigensolves) == {("eigh", 2): 2 + 2 + 1, ("eigh", 3): 3 + 3 + 1,
+                                   ("eigh", 1): 2 + 3}
 
 
 def test_induced_form_runs_no_eigensolve(eigensolves):
