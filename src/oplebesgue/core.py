@@ -254,17 +254,11 @@ def psd_difference(x: PsdMatrix, y: PsdMatrix, noise: float, context: str,
     return PsdMatrix._checked(h, None)
 
 
-def _blocks(h: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of h's exact nonzero pattern
-    (i and j linked when h[i, j] or h[j, i] is nonzero), each ascending, in
-    order of their smallest index.  A matrix whose row 0 has no zero off the
-    diagonal is one component, found without reading the rest; otherwise a
-    breadth-first search reads each row once, so detection is O(n^2)."""
-    n = h.shape[0]
-    if n < 2 or np.all(h[0, 1:] != 0):
-        return [np.arange(n)]
-    linked = h != 0
-    linked |= linked.T
+def _components(linked: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of a symmetric boolean
+    adjacency, each ascending, in order of their smallest index: a
+    breadth-first search that reads each row once."""
+    n = linked.shape[0]
     unseen = np.ones(n, dtype=bool)
     blocks = []
     for start in range(n):
@@ -282,6 +276,34 @@ def _blocks(h: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
+def _blocks(h: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of h's exact nonzero pattern
+    (i and j linked when h[i, j] or h[j, i] is nonzero).  A matrix whose row
+    0 has no zero off the diagonal is one component, found without reading
+    the rest; otherwise ``_components`` runs, so detection is O(n^2)."""
+    n = h.shape[0]
+    if n < 2 or np.all(h[0, 1:] != 0):
+        return [np.arange(n)]
+    linked = h != 0
+    linked |= linked.T
+    return _components(linked)
+
+
+def _svd_blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, columns) of each connected component of m's exact nonzero
+    pattern, read as a bipartite graph (row i and column j linked when
+    m[i, j] is nonzero), in order of their smallest row, then column.  A
+    zero row or column is a component of its own with no partner.  A matrix
+    whose row 0 and column 0 have no zero is one component."""
+    r, c = m.shape
+    if r == 0 or c == 0 or (np.all(m[0] != 0) and np.all(m[:, 0] != 0)):
+        return [(np.arange(r), np.arange(c))]
+    linked = np.zeros((r + c, r + c), dtype=bool)
+    linked[:r, r:] = m != 0
+    linked[r:, :r] = linked[:r, r:].T
+    return [(idx[idx < r], idx[idx >= r] - r) for idx in _components(linked)]
+
+
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
     """Eigenvalues ascending: the sorted union over the blocks of ``_blocks``,
     one solver call each."""
@@ -293,10 +315,49 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
 
 
 def _svd(m: np.ndarray, full_matrices: bool):
+    """numpy's (U, s, Vh), with one solver call per block of ``_svd_blocks``.
+
+    Each block's singular vectors fill only its own rows of U and columns of
+    Vh.  The paired vectors come first, in the stable descending order of
+    their singular values; the blocks' null vectors follow, and s is padded
+    with zeros to min(m.shape).  A matrix of one block takes exactly the
+    plain call.  Splitting keeps a direct sum's factors exactly block-local,
+    so products of them have exact zeros between the summands.
+    """
+    blocks = _svd_blocks(m)
     try:
-        return np.linalg.svd(m, full_matrices=full_matrices)
+        if len(blocks) == 1:
+            return np.linalg.svd(m, full_matrices=full_matrices)
+        # a zero row or column has a unit null vector and no singular value
+        parts = [np.linalg.svd(m[np.ix_(rows, cols)], full_matrices=True)
+                 if rows.size and cols.size
+                 else (np.eye(rows.size), np.zeros(0), np.eye(cols.size))
+                 for rows, cols in blocks]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
+    r, c = m.shape
+    dtype = np.result_type(m.dtype, float)
+    u_all, vh_all = np.zeros((r, r), dtype=dtype), np.zeros((c, c), dtype=dtype)
+    u_paired, vh_paired, u_null, vh_null = [], [], [], []
+    u_at = vh_at = 0
+    for (rows, cols), (u, s, vh) in zip(blocks, parts):
+        u_all[rows, u_at:u_at + rows.size] = u
+        vh_all[vh_at:vh_at + cols.size, cols] = vh
+        u_paired.append(u_at + np.arange(s.size))
+        vh_paired.append(vh_at + np.arange(s.size))
+        u_null.append(u_at + np.arange(s.size, rows.size))
+        vh_null.append(vh_at + np.arange(s.size, cols.size))
+        u_at += rows.size
+        vh_at += cols.size
+    s = np.concatenate([s for _, s, _ in parts])
+    order = np.argsort(-s, kind="stable")
+    u_all = u_all[:, np.concatenate([np.concatenate(u_paired)[order], *u_null])]
+    vh_all = vh_all[np.concatenate([np.concatenate(vh_paired)[order], *vh_null])]
+    k = min(r, c)
+    s = np.concatenate([s[order], np.zeros(k - s.size)])
+    if not full_matrices:
+        u_all, vh_all = u_all[:, :k], vh_all[:k]
+    return np.ascontiguousarray(u_all), s, np.ascontiguousarray(vh_all)
 
 
 class _Factorization(NamedTuple):

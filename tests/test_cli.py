@@ -213,7 +213,7 @@ def test_form_psum_runs_one_parallel_sum(capsys, eigensolves):
 @pytest.mark.parametrize("args,expected", [
     (("psum",), 9),
     (("decompose",), 5),
-    (("decompose", "--cross-check"), 12),
+    (("decompose", "--cross-check"), 14),
 ], ids=["psum", "decompose", "cross-check"])
 def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolves, args,
                                                               expected):
@@ -221,9 +221,10 @@ def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolve
     # construction.  The only eigvalsh calls are the five that validate the
     # four densities as they are parsed (v's first density is I_2, two 1-dim
     # blocks), psum's two min-eig diagnostics, each one call per block of
-    # the direct sum, and the cross-check's own checks on the 5-dim Gram (one
-    # dense call and two of three blocks each); revalidating a direct sum adds
-    # a call per block
+    # the direct sum, and the cross-check's own three checks on the 5-dim
+    # Gram, each one call per block of its three (the iterate's SVDs keep its
+    # limit exactly block-local); revalidating a direct sum adds a call per
+    # block
     code, _, _ = run_json(capsys, *args, str(DATA / "functional_pair.json"))
     assert code == 0
     assert sum(name == "eigvalsh" for name, _ in eigensolves) == expected

@@ -21,7 +21,15 @@ from oplebesgue import (
     range_projection,
 )
 
-from oplebesgue.core import _blocks, _eigh, _eigvalsh, clip_psd, psd_difference
+from oplebesgue.core import (
+    _blocks,
+    _eigh,
+    _eigvalsh,
+    _svd,
+    _svd_blocks,
+    clip_psd,
+    psd_difference,
+)
 
 from helpers import random_psd, random_unitary
 
@@ -355,6 +363,69 @@ def test_one_block_is_one_plain_solver_call(eigensolves, zero_entry):
     assert np.array_equal(w, w_ref[order])
     assert np.array_equal(v, v_ref[:, order])
     assert np.array_equal(_eigvalsh(h), np.linalg.eigvalsh(h))
+
+
+def _permuted_rectangular_blocks(rng, wide):
+    """Blocks of shapes 2x3 and 3x1 at scales 1 and 1e-12 plus a zero row and
+    a zero column, rows and columns shuffled (transposed when ``wide``):
+    (matrix, {(rows, columns) of each block})."""
+    def draw(shape, scale):
+        return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    m = np.zeros((6, 5), dtype=complex)
+    m[:2, :3], m[2:5, 3:4] = draw((2, 3), 1.0), draw((3, 1), 1e-12)
+    rp, cp = rng.permutation(6), rng.permutation(5)
+    inv_r, inv_c = np.argsort(rp), np.argsort(cp)
+    sets = {(tuple(sorted(inv_r[list(r)])), tuple(sorted(inv_c[list(c)])))
+            for r, c in ((range(2), range(3)), (range(2, 5), range(3, 4)),
+                         (range(5, 6), range(0)), (range(0), range(4, 5)))}
+    m = m[np.ix_(rp, cp)]
+    if wide:
+        return m.T.copy(), {(c, r) for r, c in sets}
+    return m, sets
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+@pytest.mark.parametrize("full", [True, False], ids=["full", "thin"])
+def test_svd_of_decoupled_blocks_is_one_call_per_block(eigensolves, wide, full):
+    m, sets = _permuted_rectangular_blocks(np.random.default_rng([12, wide]), wide)
+    assert {(tuple(r), tuple(c)) for r, c in _svd_blocks(m)} == sets
+    eigensolves.clear()
+    u, s, vh = _svd(m, full)
+    assert sorted(x.shape for _, x in eigensolves) == sorted([(2, 3), (3, 1)] if not wide
+                                                             else [(3, 2), (1, 3)])
+    k = min(m.shape)
+    ref_u, ref_s, ref_vh = np.linalg.svd(m, full_matrices=full)
+    assert (u.shape, s.shape, vh.shape) == (ref_u.shape, ref_s.shape, ref_vh.shape)
+    assert np.allclose(s, ref_s, rtol=0.0, atol=1e-14)
+    assert np.all(np.diff(s) <= 0.0)
+    assert np.allclose(u.conj().T @ u, np.eye(u.shape[1]), rtol=0.0, atol=1e-14)
+    assert np.allclose(vh @ vh.conj().T, np.eye(vh.shape[0]), rtol=0.0, atol=1e-14)
+    assert np.allclose((u[:, :k] * s) @ vh[:k], m, rtol=0.0, atol=1e-14)
+    # the block at 1e-12 keeps its singular value to relative accuracy, and
+    # every singular vector lives on the rows (columns) of one block
+    small = next(block for block in sets if len(block[0]) + len(block[1]) == 4)
+    assert np.isclose(s[2], np.linalg.svd(m[np.ix_(*small)], compute_uv=False)[0],
+                      rtol=1e-12, atol=0.0)
+    for vectors, side in ((u.T, 0), (vh, 1)):
+        for vec in vectors:
+            assert any(set(np.flatnonzero(vec)) <= set(block[side]) for block in sets)
+
+
+@pytest.mark.parametrize("zero_entry", [False, True], ids=["dense", "one-zero"])
+@pytest.mark.parametrize("full", [True, False], ids=["full", "thin"])
+def test_one_svd_block_is_one_plain_solver_call(eigensolves, zero_entry, full):
+    # a matrix of one block gives exactly numpy's SVD, also when row 0 has a
+    # zero and the search runs
+    rng = np.random.default_rng(13)
+    m = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+    if zero_entry:
+        m[0, 1] = 0.0
+    eigensolves.clear()
+    got = _svd(m, full)
+    assert [(name, x.shape) for name, x in eigensolves] == [("svd", (5, 7))]
+    for part, ref in zip(got, np.linalg.svd(m, full_matrices=full)):
+        assert np.array_equal(part, ref)
 
 
 def test_only_core_calls_the_eigensolvers():

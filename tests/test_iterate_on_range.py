@@ -204,6 +204,25 @@ def test_each_iterate_is_the_full_space_loop_of_the_public_step(seed):
         assert np.linalg.norm(dec.ac.entries + dec.sing.entries - b.entries) <= 1e-12 * b.norm
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_iterate_parts_of_a_direct_sum_are_exactly_block_diagonal(seed):
+    # A direct sum with a repeated summand, as a functional's Gram has: the
+    # iterate's SVDs split into the summands, so both parts have exact zeros
+    # between them and every later eigensolve sees the same blocks whatever
+    # the entries.  Fails when _svd factors the whole matrix in one call.
+    rng = np.random.default_rng([43, seed])
+    pairs = [(random_psd(rng, 3, 2).entries, random_psd(rng, 3, 3).entries) for _ in range(2)]
+    a, b = (np.zeros((9, 9), dtype=complex) for _ in range(2))
+    for k, (ak, bk) in enumerate([pairs[0], pairs[0], pairs[1]]):
+        a[3 * k:3 * k + 3, 3 * k:3 * k + 3], b[3 * k:3 * k + 3, 3 * k:3 * k + 3] = ak, bk
+    dec = arlinskii_iterate(PsdMatrix(a), PsdMatrix(b))
+    assert dec.converged
+    outside = np.kron(1 - np.eye(3), np.ones((3, 3))).astype(bool)
+    for part in (dec.ac.entries, dec.sing.entries):
+        assert np.all(part[outside] == 0.0)
+    assert _error(dec, PsdMatrix(a), PsdMatrix(b)) <= 1e-10
+
+
 def test_a_six_order_ratio_on_a_shared_line_is_bounded_and_flagged():
     # A = [[1e-6]] against B = [[1]] needs about one step per unit of the
     # ratio; a cap of 1e5 steps must end flagged, at the cap, without raising.
