@@ -213,14 +213,17 @@ def _hermitian_part(entries, tol: Tolerances) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     half = m / 2.0
+    # one contiguous adjoint serves both the check and the average
+    adjoint = np.ascontiguousarray(half.conj().T)
     scale = 1.0 + _frobenius(m)
-    asym = 2.0 * _frobenius(half - half.conj().T)
+    asym = 2.0 * _frobenius(half - adjoint)
     if asym > tol.recon_tol * scale:
         raise ValueError(
             f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
             f"{tol.recon_tol * scale:.3e}"
         )
-    return half + half.conj().T
+    half += adjoint
+    return half
 
 
 def _require_psd(eigenvalues: np.ndarray, tol: Tolerances) -> None:
@@ -239,6 +242,18 @@ def _require_psd(eigenvalues: np.ndarray, tol: Tolerances) -> None:
 def roundoff(dim: int, scale: float) -> float:
     """Round-off bound of a dense size-``dim`` computation on inputs of norm ``scale``."""
     return 256.0 * max(dim, 1) * np.finfo(float).eps * scale
+
+
+def gram_roundoff(dim: int, mass: float) -> float:
+    """Bound on the Frobenius distance of V diag(d) V*, formed in floating
+    point as ``(V * d) @ V*`` over ``dim`` columns and averaged with its
+    adjoint, from the exact product, where ``mass`` is sum_j |d_j| ||v_j||^2
+    (the trace when d >= 0).  Each entry errs by at most gamma_(dim+4) times
+    the same entry of |V| |diag(d)| |V|^T (complex inner products, Higham
+    2002, sec. 3.1 and 3.6), whose Frobenius norm is at most ``mass``; the
+    bound is twice that, so that a computed trace or an unscaled sum |d_j|
+    may stand for the mass of a nearly unitary V."""
+    return (max(dim, 1) + 4) * np.finfo(float).eps * mass
 
 
 def psd_difference(x: PsdMatrix, y: PsdMatrix, noise: float, context: str,
@@ -307,8 +322,11 @@ def _svd_blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
     """Eigenvalues ascending: the sorted union over the blocks of ``_blocks``,
     one solver call each."""
+    blocks = _blocks(h)
     try:
-        parts = [np.linalg.eigvalsh(h[np.ix_(idx, idx)]) for idx in _blocks(h)]
+        if len(blocks) == 1:
+            return np.linalg.eigvalsh(h)
+        parts = [np.linalg.eigvalsh(h[np.ix_(idx, idx)]) for idx in blocks]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
     return np.sort(np.concatenate(parts))
@@ -378,12 +396,13 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenvalues (descending, stable order), eigenvectors V and ||V* V - I||,
     with one solver call per block of ``_blocks``.  Each block's eigenvectors
     fill only its own rows of V, so V* V - I is zero between blocks and its
-    norm is the root sum of squares of the blocks' own residuals."""
+    norm is the root sum of squares of the blocks' own residuals.  A matrix
+    of one block takes exactly the plain call."""
     blocks = _blocks(h)
     values, vectors, residuals = [], [], []
     for idx in blocks:
         try:
-            w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
+            w, v = np.linalg.eigh(h if len(blocks) == 1 else h[np.ix_(idx, idx)])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
         order = np.argsort(-w, kind="stable")
@@ -391,6 +410,8 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         values.append(w[order])
         vectors.append(v)
         residuals.append(_frobenius(v.conj().T @ v - np.eye(idx.size)))
+    if len(blocks) == 1:
+        return np.ascontiguousarray(values[0]), np.ascontiguousarray(vectors[0]), residuals[0]
     w = np.concatenate(values)
     v = np.zeros((w.size, w.size), dtype=vectors[0].dtype)
     start = 0
@@ -450,13 +471,45 @@ def clip_psd(h: np.ndarray, noise: float, tol: Tolerances, context: str) -> PsdM
     """Factor a mathematically PSD array once and clip eigenvalues below zero
     by at most ``noise``, the backward-error scale of the computation that
     produced ``h``; anything more negative is a genuine failure of ``context``."""
-    w, v, ortho = _eigh(h / 2.0 + h.conj().T / 2.0)
+    _, w, _, _, clipped = _clip(h, tol)
     if w.size and w[-1] < -noise:
         raise NumericalError(
             f"{context} lost positivity beyond round-off ({w[-1]:.3e})",
             residual=float(-w[-1]),
         )
-    return _from_spectrum(np.clip(w, 0.0, None), v, ortho, tol)
+    return clipped
+
+
+def _clip(h: np.ndarray, tol: Tolerances):
+    """(m, w, V, ortho, C) for m = h/2 + h*/2 = V diag(w) V* from one ``eigh``
+    and C its clip V diag(max(w, 0)) V*, kept with that factorization."""
+    m = h / 2.0 + h.conj().T / 2.0
+    w, v, ortho = _eigh(m)
+    return m, w, v, ortho, _from_spectrum(np.clip(w, 0.0, None), v, ortho, tol)
+
+
+def clip_psd_with_floor(h: np.ndarray, tol: Tolerances) -> tuple[PsdMatrix, float]:
+    """(C, floor): C is ``clip_psd(h, inf, ...)``, bitwise, and ``floor`` a
+    certified lower bound on the smallest eigenvalue of what the clip cut
+    away, m - C with m = h/2 + h*/2, from the same one ``eigh``.
+
+    With m = V diag(w) V* + E and P = V diag(min(w, 0)) V*, Weyl's inequality
+    gives lambda_min(m - C) >= lambda_min(P) - ||m - C - P||_F, and
+    lambda_min(P) >= min(w, 0) ||V||_2^2 with ||V||_2^2 <= 1 + ||V* V - I||_F.
+    The residual is read against the computed C, so C's own rebuild
+    round-off is inside it; P's rebuild round-off (``gram_roundoff``) and the
+    rounding of the residual's two subtractions are subtracted as well.
+    """
+    m, w, v, ortho, clipped = _clip(h, tol)
+    if not w.size:
+        return clipped, 0.0
+    neg = w < 0.0
+    cut = (v[:, neg] * w[neg]) @ v[:, neg].conj().T
+    residual = _frobenius(m - clipped.entries - cut)
+    rounding = np.finfo(float).eps * (_frobenius(m) + clipped.norm + _frobenius(cut))
+    floor = (min(float(w[-1]), 0.0) * (1.0 + ortho) - residual
+             - gram_roundoff(w.size, float(-np.sum(w[neg]))) - rounding)
+    return clipped, floor
 
 
 def support_roots(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,8 @@ the sum C = A + B, where the singular part is a compressed kernel projection.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Generic, TypeVar
 
 import numpy as np
@@ -25,6 +26,7 @@ from .core import (
     psd_difference,
     range_projection,
     require_same_dim,
+    roundoff,
     spectral_map,
     support_roots,
 )
@@ -83,16 +85,23 @@ class AuxiliarySpace:
 
     embed is the dim x rank factor with embed @ embed* = C; a_tilde and
     b_tilde are the positive contractions carrying A and B back through the
-    embedding, with a_tilde + b_tilde = I.
+    embedding, with a_tilde + b_tilde = I.  b_tilde is built on first use,
+    under the tolerances ``tol`` the space was built with.
     """
 
     rank: int
     embed: np.ndarray
     a_tilde: PsdMatrix
-    b_tilde: PsdMatrix
+    tol: Tolerances = field(repr=False)
 
     def __post_init__(self):
         self.embed.flags.writeable = False
+
+    @cached_property
+    def b_tilde(self) -> PsdMatrix:
+        """I - a_tilde, built on the spectrum 1 - mu of a_tilde = V diag(mu) V*."""
+        mu = eig_hermitian(self.a_tilde, self.tol).eigenvalues
+        return spectral_map(self.a_tilde, 1.0 - mu, self.tol)
 
 
 def arlinskii_step(x: PsdMatrix, a: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
@@ -174,8 +183,43 @@ def arlinskii_iterate(
             converged = True
             break
     sing = psd_by_construction((h * g) @ h.conj().T, tol)
-    ac = psd_difference(b, sing, tol.psd_slack * (a.norm + b.norm), "iterate limit", tol)
+    noise = tol.psd_slack * (a.norm + b.norm)
+    if _limit_floor(b, lam, (p * s) @ w, y, g, weight, sing) >= -noise:
+        ac = psd_by_construction(b.entries - sing.entries, tol)
+    else:
+        # the certificate fell short (its round-off term grows with n): the
+        # exact check decides
+        ac = psd_difference(b, sing, noise, "iterate limit", tol)
     return LebesgueDecomposition(ac, sing, Method.ITERATE, iterations, residual, converged)
+
+
+def _limit_floor(b: PsdMatrix, lam: np.ndarray, gw: np.ndarray, y: np.ndarray, g: np.ndarray,
+                 weight: np.ndarray, sing: PsdMatrix) -> float:
+    """A certified lower bound on the smallest eigenvalue of ac = B - sing,
+    read off the factorizations ``arlinskii_iterate`` already holds.
+
+    With B = U0 diag(w0) U0* + E_B its kept eigendecomposition, U (eigenvalues
+    ``lam``) the part the iteration ran on, GW = G W = ``gw`` and
+    H = U G W, whose squared column norms are ``weight``,
+
+        B - sing = [U0 diag(w0) U0* - U diag(lam) U*] + E_B
+                   + U [diag(lam) - GW diag(1 - y) GW*] U* + H diag(1 - y - g) H*
+
+    up to the rounding of H and of the products, so by Weyl's inequality
+    lambda_min >= min(w0, 0) (1 + ortho) - ||E_B||_F - ||diag(lam) - GW
+    diag(1 - y) GW*||_F (1 + ortho) + sum_i min(1 - y - g, 0)_i weight_i
+    - roundoff(n, ||B|| + ||sing||), with ortho = ||U0* U0 - I||_F.  The first
+    bracket holds only B's eigenvalues under the cutoff; the third term is
+    the two SVDs' consistency, one r x r product (r = rank B); the fourth is
+    zero in exact arithmetic, where g decreases from 1 - y.
+    """
+    factored = b._factorization()
+    lowest = float(factored.dec.eigenvalues[-1])
+    consistency = _frobenius(np.diag(lam) - (gw * (1.0 - y)) @ gw.conj().T)
+    return (min(lowest, 0.0) * (1.0 + factored.ortho) - factored.recon
+            - consistency * (1.0 + factored.ortho)
+            + float(np.minimum(1.0 - y - g, 0.0) @ weight)
+            - roundoff(b.dim, b.norm + sing.norm))
 
 
 def auxiliary_space(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> AuxiliarySpace:
@@ -184,13 +228,13 @@ def auxiliary_space(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -
     With C = U diag(lam) U* and r the rank of C under the relative cutoff:
     embed = U_r diag(sqrt(lam)), a_tilde the congruence of A by
     diag(1/sqrt(lam)) U_r*, and b_tilde = I - a_tilde, built on the spectrum
-    1 - mu of a_tilde = V diag(mu) V*.  Rank zero yields the empty space.
+    1 - mu of a_tilde = V diag(mu) V* when first read.  Rank zero yields the
+    empty space.
     """
     require_same_dim(a, b)
     embed, coords = support_roots(a + b, tol)
     a_tilde = factor_psd(coords.conj().T @ a.entries @ coords, tol)
-    b_tilde = spectral_map(a_tilde, 1.0 - eig_hermitian(a_tilde, tol).eigenvalues, tol)
-    return AuxiliarySpace(a_tilde.dim, embed, a_tilde, b_tilde)
+    return AuxiliarySpace(a_tilde.dim, embed, a_tilde, tol)
 
 
 def direct_decompose(
@@ -270,10 +314,9 @@ def decompose(
     if method is Method.DIRECT:
         return direct_decompose(a, b, tol)
     result = ando_ac_part(a, b, tol)
-    sing = psd_difference(b, result.ac_part, tol.psd_slack * b.norm, "ando singular part", tol)
     return LebesgueDecomposition(
         result.ac_part,
-        sing,
+        result.sing_part,
         Method.ANDO,
         result.terms_used,
         result.final_increment,

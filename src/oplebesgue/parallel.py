@@ -14,7 +14,9 @@ from .core import (
     _eigvalsh,
     _frobenius,
     clip_psd,
+    clip_psd_with_floor,
     eig_hermitian,
+    gram_roundoff,
     pinv,
     psd_by_construction,
     require_same_dim,
@@ -48,27 +50,47 @@ _CG_STEPS_PER_DIM = 64
 
 
 def _nearest_in_order_interval(h: np.ndarray, upper: np.ndarray, noise: float,
-                               tol: Tolerances, context: str) -> np.ndarray:
+                               tol: Tolerances, context: str) -> tuple[np.ndarray, np.ndarray]:
     """Move a Hermitian matrix into {X : 0 <= X <= upper} (Dykstra projections).
 
-    The exact value being approximated lies in that set, so only round-off
-    (at most ``noise``) should need correcting; a larger displacement is a
-    genuine failure, as is X below the PSD slack at ||upper|| after 100 rounds
-    (each round ends on upper - X clipped PSD, so only X >= 0 is checked).
+    Returns X and its complement C = upper - X.  The exact value being
+    approximated lies in that set, so only round-off (at most ``noise``)
+    should need correcting; a larger displacement is a genuine failure, as
+    is X below the PSD slack at ||upper|| after 100 rounds.  Each round ends
+    on X = upper - C with C clipped PSD, so only X >= 0 is checked, and first
+    without an eigensolve: with Y the round's clip of X + P and Q the
+    previous correction, X = Y + Q + (M - C) up to the rounding of the sums,
+    where M = upper - (Y + Q) is the matrix clipped to C.  Y is PSD up to its
+    rebuild round-off, so lambda_min(X) >= floor(M - C) - ||Q||_F - that
+    round-off - the sums' rounding (``clip_psd_with_floor``).  The round
+    stops on that certificate; only when it falls short does one
+    ``eigvalsh`` of X decide, as it did in every round before.
     """
     if h.shape[0] == 0:
-        return h
+        return h, h
+    eps = np.finfo(float).eps
     scale = _frobenius(upper)
+    stop = 1e-13 * scale
+    # a certificate accepted in place of the smallest eigenvalue must also
+    # clear the slack tested below
+    certified = min(stop, tol.psd_slack * scale)
     x = h
     p = np.zeros_like(h)
     q = np.zeros_like(h)
     for _ in range(100):
-        y = clip_psd(x + p, np.inf, tol, context).entries
-        p = x + p - y
-        x = upper - clip_psd(upper - (y + q), np.inf, tol, context).entries
-        q = y + q - x
+        y = clip_psd(x + p, np.inf, tol, context)
+        p = x + p - y.entries
+        complement, floor = clip_psd_with_floor(upper - (y.entries + q), tol)
+        x = upper - complement.entries
+        q_norm = _frobenius(q)
+        q = y.entries + q - x
+        # the three sums round by at most eps/2 times their operands' norms
+        low = (floor - q_norm - gram_roundoff(h.shape[0], y.trace)
+               - eps * (scale + y.norm + q_norm + complement.norm))
+        if low >= -certified:
+            break
         low = float(_eigvalsh(x)[0])
-        if low >= -1e-13 * scale:
+        if low >= -stop:
             break
     if low < -tol.psd_slack * scale:
         raise NumericalError(f"{context} did not settle above zero ({low:.3e})", residual=-low)
@@ -78,7 +100,7 @@ def _nearest_in_order_interval(h: np.ndarray, upper: np.ndarray, noise: float,
             f"{context} violated its order bounds beyond round-off ({moved:.3e})",
             residual=moved,
         )
-    return x
+    return x, complement.entries
 
 
 # Norm ratio beyond which the pseudoinverse of the sum is evaluated by
@@ -239,12 +261,16 @@ class AndoLimitResult:
         increment between the last two terms.
     converged: False when the schedule ended (doubling cap, drop guard or
         resolution stop) before either stopping rule was met.
+    sing_part: the singular part B - ac_part, as the settle leaves it: the
+        rotation back of its last clipped complement, so PSD by construction
+        (all of B when A has no kept eigenvalue).
     """
 
     ac_part: PsdMatrix
     terms_used: int
     final_increment: float
     converged: bool
+    sing_part: PsdMatrix
 
 
 def _romberg_update(row: list[np.ndarray], term: np.ndarray) -> None:
@@ -270,7 +296,8 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     every term is Bt - Bt (D_k + Bt)^+ Bt, with D_k = 2^k Lam on the kept
     block and 0 on the rest, evaluated by the kernel-split solve of
     ``parallel_sum`` and kept as its Hermitian part.  No term is factored;
-    the limit is settled into [0, Bt] once and rotated back once.  A
+    the limit is settled into [0, Bt] once and rotated back once, and so is
+    the settle's clipped complement Bt - limit, the singular part.  A
     reference with no kept eigenvalue makes every term zero.
 
     ``(tA) : B`` is a rational function of s = 1/t, analytic at 0, so the
@@ -299,7 +326,7 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     dec = eig_hermitian(a, tol)
     keep = tol.support(dec.eigenvalues)
     if not keep.any():
-        return AndoLimitResult(PsdMatrix.zero(b.dim), 1, 0.0, True)
+        return AndoLimitResult(PsdMatrix.zero(b.dim), 1, 0.0, True, b)
     lam = dec.eigenvalues[keep]
     u = np.hstack([dec.vectors[:, keep], dec.vectors[:, ~keep]])
     bt = u.conj().T @ b.entries @ u
@@ -351,10 +378,14 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
         limit, noise = extrapolated, _ROMBERG_GROWTH * step_noise
     # The limit sits in the order interval [0, Bt]; round-off can push the
     # computed term slightly outside, so settle it back (which validates it).
+    # Its complement Bt - limit comes out clipped PSD, and a unitary
+    # congruence of it is the singular part.
     budget = 1e4 * max(noise, threshold)
-    settled = _nearest_in_order_interval(limit, bt, budget, tol, "doubling limit")
+    settled, complement = _nearest_in_order_interval(limit, bt, budget, tol, "doubling limit")
     ac = u @ settled @ u.conj().T
-    return AndoLimitResult(psd_by_construction(ac, tol), terms, increment, converged)
+    sing = u @ complement @ u.conj().T
+    return AndoLimitResult(psd_by_construction(ac, tol), terms, increment, converged,
+                           psd_by_construction(sing, tol))
 
 
 def spectral_ac_of_contraction(bt: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oplebesgue
+from oplebesgue import core
 from oplebesgue import (
     DEFAULT_TOL,
     DimensionMismatchError,
@@ -25,9 +26,12 @@ from oplebesgue.core import (
     _blocks,
     _eigh,
     _eigvalsh,
+    _frobenius,
+    _hermitian_part,
     _svd,
     _svd_blocks,
     clip_psd,
+    clip_psd_with_floor,
     psd_difference,
 )
 
@@ -363,6 +367,89 @@ def test_one_block_is_one_plain_solver_call(eigensolves, zero_entry):
     assert np.array_equal(w, w_ref[order])
     assert np.array_equal(v, v_ref[:, order])
     assert np.array_equal(_eigvalsh(h), np.linalg.eigvalsh(h))
+
+
+def test_one_block_hands_the_matrix_itself_to_the_solver(monkeypatch):
+    # a dense matrix goes to numpy as it is, with no copy or re-embedding,
+    # and comes back as numpy's eigh with the stable descending sort and the
+    # unitarity residual of those vectors
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    h = x + x.conj().T
+    w_ref, v_ref = np.linalg.eigh(h)
+    values_ref = np.linalg.eigvalsh(h)
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def spy(m, *args, _original=original, **kwargs):
+            seen.append(m is h)
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    w, v, ortho = _eigh(h)
+    values = _eigvalsh(h)
+    assert seen == [True, True]
+    order = np.argsort(-w_ref, kind="stable")
+    assert np.array_equal(w, w_ref[order])
+    assert np.array_equal(v, v_ref[:, order])
+    assert ortho == _frobenius(v.conj().T @ v - np.eye(64))
+    assert np.array_equal(values, values_ref)
+
+
+def test_hermitian_part_is_the_average_with_the_adjoint():
+    # one contiguous adjoint for the check and the average gives bitwise
+    # m/2 + (m/2)*, on a complex matrix with round-off asymmetry
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(192, 192)) + 1j * rng.normal(size=(192, 192))
+    m = x @ x.conj().T + 1e-13 * rng.normal(size=(192, 192))
+    assert not np.array_equal(m, m.conj().T)
+    half = m / 2.0
+    got = _hermitian_part(m, DEFAULT_TOL)
+    assert np.array_equal(got, half + half.conj().T)
+    assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("cut", [0.0, 1e-14, 1e-9, 0.3])
+def test_clip_floor_bounds_what_the_clip_cut(seed, cut):
+    # the clip is bitwise clip_psd's, and the floor lies below the smallest
+    # eigenvalue of m - C, within 1e-12 ||m|| of it
+    rng = np.random.default_rng([14, seed])
+    n = 6 + 3 * seed
+    w = np.concatenate([rng.uniform(0.0, 2.0, n - 3), -cut * rng.uniform(0.0, 1.0, 3)])
+    u = random_unitary(rng, n)
+    h = (u * w) @ u.conj().T
+    clipped, floor = clip_psd_with_floor(h, DEFAULT_TOL)
+    assert np.array_equal(clipped.entries, clip_psd(h, np.inf, DEFAULT_TOL, "test").entries)
+    m = h / 2.0 + h.conj().T / 2.0
+    lowest = float(np.linalg.eigvalsh(m - clipped.entries)[0])
+    eps = np.finfo(float).eps
+    assert lowest - 1e-12 * _frobenius(m) <= floor <= lowest + n * eps * _frobenius(m)
+    assert floor <= 0.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_clip_floor_holds_for_an_inexact_factorization(monkeypatch, seed):
+    # eigenvectors off by 1e-7 leave m - C far from P = V diag(min(w, 0)) V*;
+    # the reconstruction residual and the unitarity residual carry that
+    rng = np.random.default_rng([15, seed])
+    n = 7
+    u = random_unitary(rng, n)
+    h = (u * np.array([2.0, 1.0, 0.5, 0.1, 0.0, -1e-9, -1e-6])) @ u.conj().T
+    h = (h + h.conj().T) / 2.0
+    exact = core._eigh
+
+    def inexact(m):
+        w, v, _ = exact(m)
+        v = v + 1e-7 * (rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape))
+        return w, v, _frobenius(v.conj().T @ v - np.eye(n))
+
+    monkeypatch.setattr(core, "_eigh", inexact)
+    clipped, floor = clip_psd_with_floor(h, DEFAULT_TOL)
+    lowest = float(np.linalg.eigvalsh(h - clipped.entries)[0])
+    assert floor <= lowest
+    assert lowest - floor <= 1e-5 * _frobenius(h)
 
 
 def _permuted_rectangular_blocks(rng, wide):

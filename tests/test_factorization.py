@@ -10,15 +10,18 @@ from oplebesgue import (
     PsdMatrix,
     StarAlgebra,
     auxiliary_space,
+    decompose,
     eig_hermitian,
     functional_decompose,
     gns,
     induced_form,
+    loewner_leq,
     parallel_sum,
     pinv,
     range_projection,
     spectral_ac_of_contraction,
 )
+from oplebesgue.core import roundoff, spectral_map
 from oplebesgue.lebesgue import arlinskii_iterate, direct_decompose
 from oplebesgue.parallel import ando_ac_part
 
@@ -62,9 +65,21 @@ def test_ando_eigensolve_count(eigensolves):
     assert result.converged and result.terms_used == 15
     # A has rank 8: one eigh factors it, and each term's only eigensolve is
     # the clip of its Schur complement on the 4-dim kernel of A; the two
-    # size-12 eighs are the settling round's projections, and the one
-    # eigvalsh is its stop check, which also validates the settled limit
-    assert _tally(eigensolves) == {("eigh", 12): 3, ("eigh", 4): 15, ("eigvalsh", 12): 1}
+    # size-12 eighs are the settling round's projections, and the second
+    # one's spectrum certifies the settled limit, so no eigvalsh runs
+    assert _tally(eigensolves) == {("eigh", 12): 3, ("eigh", 4): 15}
+
+
+def test_ando_singular_part_needs_no_eigensolve(eigensolves):
+    # decompose takes ando's singular part from the settle: no eigensolve
+    # runs after ando_ac_part returns, and ac + sing is B up to round-off
+    ando_ac_part(*_pair(eigensolves))
+    alone = _tally(eigensolves)
+    a, b = _pair(eigensolves)
+    ac, sing = decompose(a, b, "ando")
+    assert _tally(eigensolves) == alone
+    assert np.linalg.norm(ac.entries + sing.entries - b.entries) <= roundoff(b.dim, b.norm)
+    assert loewner_leq(PsdMatrix.zero(b.dim), sing)
 
 
 def test_ando_calls_no_other_route(monkeypatch):
@@ -93,12 +108,26 @@ def test_iterate_eigensolve_count(eigensolves):
     # and for A's root factor, one SVD of the 2 x 8 rows of that factor off
     # ran B (the short of A to ran B, F F* with F 10 x 6), one SVD of the
     # 10 x 16 stack [diag(lam)^(1/2), F] and one of its 10 x 6 block Q_F*;
-    # the steps are a scalar recursion, and one size-12 eigvalsh validates
-    # the final ac part
-    assert _tally(eigensolves) == {("eigh", 12): 2, ("eigvalsh", 12): 1, ("svd", 2): 1,
-                                   ("svd", 10): 2}
+    # the steps are a scalar recursion, and the final ac part is certified
+    # from B's factorization and the two SVDs, with no eigensolve
+    assert _tally(eigensolves) == {("eigh", 12): 2, ("svd", 2): 1, ("svd", 10): 2}
     assert sorted(h.shape for name, h in eigensolves if name == "svd") == [
         (2, 8), (10, 6), (10, 16)]
+
+
+def test_b_tilde_is_built_on_first_use(eigensolves):
+    # direct never reads b_tilde, so auxiliary_space does not build it; the
+    # first read gives I - a_tilde on a_tilde's spectrum, with no eigensolve,
+    # and later reads return the same matrix
+    a, b = _pair(eigensolves)
+    aux = auxiliary_space(a, b)
+    assert "b_tilde" not in vars(aux)
+    eigensolves.clear()
+    b_tilde = aux.b_tilde
+    assert eigensolves == []
+    assert aux.b_tilde is b_tilde
+    mu = eig_hermitian(aux.a_tilde).eigenvalues
+    assert np.array_equal(b_tilde.entries, spectral_map(aux.a_tilde, 1.0 - mu).entries)
 
 
 def _block_pair(calls):

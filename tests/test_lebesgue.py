@@ -6,6 +6,7 @@ import pytest
 from oplebesgue import (
     DEFAULT_TOL,
     Method,
+    NumericalError,
     PsdMatrix,
     Tolerances,
     arlinskii_iterate,
@@ -19,8 +20,10 @@ from oplebesgue import (
     parallel_sum,
     range_projection,
 )
+from oplebesgue import core, lebesgue
+from oplebesgue.core import psd_difference, roundoff
 
-from helpers import random_contraction, random_pair
+from helpers import random_contraction, random_pair, random_psd
 
 
 def test_step_fixes_singular_operand():
@@ -105,6 +108,77 @@ def test_iterate_carries_its_round_off_over_thousands_of_steps(spread, draw, con
     if converged:
         ref = direct_decompose(a, b).ac.entries
         assert np.linalg.norm(dec.ac.entries - ref) <= 1e-7 * b.norm
+
+
+def _rank_deficient_pair(seed):
+    """A 12-dim pair, A of rank 8 and B of rank 10, so B has a singular part."""
+    rng = np.random.default_rng(seed)
+    return random_psd(rng, 12, rank=8), random_psd(rng, 12, rank=10)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_iterate_limit_certificate_lies_below_the_spectrum(monkeypatch, seed):
+    # the bound that stands in for an eigensolve of ac = B - sing is a lower
+    # bound on its smallest eigenvalue, inside the noise, and below it by
+    # about the round-off term it carries
+    a, b = _rank_deficient_pair(seed)
+    bounds = []
+    real = lebesgue._limit_floor
+
+    def spy(*args):
+        bounds.append(real(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(lebesgue, "_limit_floor", spy)
+    dec = arlinskii_iterate(a, b)
+    assert dec.sing.norm > 1e-3 * b.norm
+    lowest = float(np.linalg.eigvalsh(dec.ac.entries)[0])
+    scale = DEFAULT_TOL.psd_slack * (a.norm + b.norm)
+    assert len(bounds) == 1
+    assert -scale < bounds[0] <= lowest
+    assert lowest - bounds[0] <= 2.0 * roundoff(b.dim, b.norm + dec.sing.norm)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_iterate_limit_falls_back_to_the_exact_check(monkeypatch, seed):
+    # the certificate's round-off term grows with n; where it alone exceeds
+    # the noise, one eigvalsh of B - sing decides and ac is what it was
+    a, b = _rank_deficient_pair(seed)
+    certified = arlinskii_iterate(a, b)
+    solves = []
+    real = core._eigvalsh
+
+    def counted(h):
+        solves.append(h.shape)
+        return real(h)
+
+    monkeypatch.setattr(lebesgue, "roundoff", lambda dim, scale: 1e6 * scale)
+    monkeypatch.setattr(core, "_eigvalsh", counted)
+    checked = arlinskii_iterate(a, b)
+    assert solves == [(12, 12)]
+    assert np.array_equal(checked.ac.entries, certified.ac.entries)
+    assert np.array_equal(checked.sing.entries, certified.sing.entries)
+    exact = psd_difference(b, certified.sing, 1.0, "test")
+    assert np.array_equal(checked.ac.entries, exact.entries)
+
+
+def test_iterate_limit_above_b_is_a_named_failure(monkeypatch):
+    # G = P S scaled by 1.1 makes sing = H diag(g) H* exceed B by about a
+    # fifth of itself; the certificate sees it as the two SVDs disagreeing
+    # with B's spectrum and raises as the eigensolve did
+    a, b = _rank_deficient_pair(0)
+    real = lebesgue._svd
+    calls = []
+
+    def inflated(m, full_matrices):
+        u, s, vh = real(m, full_matrices)
+        calls.append(m.shape)
+        return (u, 1.1 * s, vh) if len(calls) == 2 else (u, s, vh)
+
+    monkeypatch.setattr(lebesgue, "_svd", inflated)
+    with pytest.raises(NumericalError, match="iterate limit lost positivity") as info:
+        arlinskii_iterate(a, b)
+    assert info.value.residual > DEFAULT_TOL.psd_slack * (a.norm + b.norm)
 
 
 def test_auxiliary_space_balanced_pair():

@@ -202,6 +202,43 @@ def test_unsettled_doubling_limit_is_a_named_failure():
     assert info.value.residual > 0.0
 
 
+@pytest.mark.parametrize("draw, rounds", [((5, 0, 1e3), 1), (([31, 6], 21, 1e6), 2),
+                                          (([31, 8], 28, 1e8), 22)])
+def test_settle_without_its_certificate_ends_bitwise_the_same(monkeypatch, draw, rounds):
+    # with every certificate refused, each settling round runs the exact
+    # eigvalsh, and the settled limit and its complement come out bitwise
+    # the same.  A one-round settle is certified with no eigvalsh; after a
+    # first round the previous correction enters the bound, and these
+    # settles check exactly
+    a, b = _draw(*draw)
+    seen = []
+    clip, exact_check = parallel.clip_psd_with_floor, parallel._eigvalsh
+
+    def counted(h, tol):
+        seen.append("round")
+        return clip(h, tol)
+
+    def checked(h):
+        seen.append("eigvalsh")
+        return exact_check(h)
+
+    def refused(h, tol):
+        return counted(h, tol)[0], -np.inf
+
+    monkeypatch.setattr(parallel, "_eigvalsh", checked)
+    monkeypatch.setattr(parallel, "clip_psd_with_floor", counted)
+    certified = ando_ac_part(a, b)
+    assert seen.count("round") == rounds
+    assert seen.count("eigvalsh") == (0 if rounds == 1 else rounds)
+    seen.clear()
+    monkeypatch.setattr(parallel, "clip_psd_with_floor", refused)
+    exact = ando_ac_part(a, b)
+    assert seen == ["round", "eigvalsh"] * rounds
+    assert np.array_equal(exact.ac_part.entries, certified.ac_part.entries)
+    assert np.array_equal(exact.sing_part.entries, certified.sing_part.entries)
+    assert (exact.terms_used, exact.converged) == (certified.terms_used, certified.converged)
+
+
 def test_rank_ambiguous_pair_settles_near_iterate():
     # the tenth draw of default_rng(14), at spread 1e14, is rank-ambiguous,
     # so iterate is the comparison, not the oracle
