@@ -82,20 +82,20 @@ class PsdMatrix:
     Input is averaged with its conjugate transpose once the stored asymmetry
     is verified to be within ``recon_tol``; eigenvalues may dip below zero by
     at most ``psd_slack * (1 + max |eigenvalue|)``.  Real input is embedded
-    with zero imaginary parts.  The matrix keeps its own eigendecomposition
-    once one is computed, so it is factored at most once, and its norm once
-    it is first read.
+    with zero imaginary parts.  The constructor judges that slack on the
+    eigenvalues of one ``eigh`` and keeps that eigendecomposition, so the
+    matrix is factored at most once; its norm is kept once first read.
     """
 
     __slots__ = ("_entries", "_factored", "_norm")
 
     def __init__(self, entries, tol: Tolerances = DEFAULT_TOL):
         h = _hermitian_part(entries, tol)
-        if h.shape[0] > 0:
-            _require_psd(_eigvalsh(h), tol)
+        factored = _factor(h)
+        _require_psd(factored.dec.eigenvalues, tol)
         h.flags.writeable = False
         self._entries = h
-        self._factored = None
+        self._factored = factored
         self._norm = None
 
     @classmethod
@@ -116,11 +116,18 @@ class PsdMatrix:
 
     @classmethod
     def zero(cls, dim: int) -> PsdMatrix:
-        return cls(np.zeros((dim, dim)))
+        return cls._unit_diagonal(np.zeros(dim))
 
     @classmethod
     def identity(cls, dim: int) -> PsdMatrix:
-        return cls(np.eye(dim))
+        return cls._unit_diagonal(np.ones(dim))
+
+    @classmethod
+    def _unit_diagonal(cls, values: np.ndarray) -> PsdMatrix:
+        """diag(values) for equal values 0 or 1, with its exact factorization
+        (V = I, both residuals zero) and no eigensolve."""
+        dec = EigenDecomposition(values, np.eye(values.size, dtype=np.complex128))
+        return cls._checked(np.diag(values).astype(np.complex128), _Factorization(dec, 0.0, 0.0))
 
     @property
     def dim(self) -> int:
@@ -143,11 +150,10 @@ class PsdMatrix:
         return self._norm
 
     def __add__(self, other: PsdMatrix) -> PsdMatrix:
-        """A + B, validated on one ``eigh`` that the sum keeps (``factor_psd``)."""
         if not isinstance(other, PsdMatrix):
             return NotImplemented
         require_same_dim(self, other)
-        return factor_psd(self._entries + other._entries)
+        return PsdMatrix(self._entries + other._entries)
 
     def __mul__(self, scalar) -> PsdMatrix:
         if not isinstance(scalar, (int, float)):
@@ -429,15 +435,6 @@ def _factor(h: np.ndarray) -> _Factorization:
     return _Factorization(EigenDecomposition(w, v), recon, ortho)
 
 
-def factor_psd(entries, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
-    """A PSD matrix built to be factored: the constructor's checks run on the
-    eigenvalues of one ``eigh`` that it keeps, not on a separate ``eigvalsh``."""
-    h = _hermitian_part(entries, tol)
-    factored = _factor(h)
-    _require_psd(factored.dec.eigenvalues, tol)
-    return PsdMatrix._checked(h, factored)
-
-
 def psd_by_construction(entries, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
     """A matrix that is PSD by how it was built, such as a direct sum of copies
     of validated PSD blocks or a Gram product X X*: the constructor's square,
@@ -527,8 +524,9 @@ def eig_hermitian(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposi
 
     The descending sort is stable, so degenerate eigenvalues keep the
     eigenvector order chosen by the underlying solver (identity input yields
-    the identity basis).  The matrix is factored on its first call only;
-    every call checks the stored reconstruction and unitarity residuals
+    the identity basis).  A matrix keeps the factorization it was validated
+    on; one that is PSD by construction is factored on its first call only.
+    Every call checks the stored reconstruction and unitarity residuals
     against ``tol`` and raises NumericalError carrying the residual if one
     fails.
     """

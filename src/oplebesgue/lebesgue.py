@@ -21,7 +21,6 @@ from .core import (
     _frobenius,
     _svd,
     eig_hermitian,
-    factor_psd,
     psd_by_construction,
     psd_difference,
     range_projection,
@@ -155,7 +154,10 @@ def arlinskii_iterate(
     and ac = B - sing, so eigenvalues of B under the rank cutoff belong to ac.
     When A has eigenvalues many orders below those of B on a shared subspace
     the iteration needs roughly one step per eigenvalue ratio, so it carries
-    ``max_iter`` and a non-converged flag; the direct method is the reference.
+    ``max_iter`` and a non-converged flag.  No route is the reference: the
+    tests judge each against an independent oracle, and on hostile spreads
+    ``direct`` is not yet within it (the strict xfail
+    ``test_direct_matches_the_oracle_on_hostile_spreads``).
     """
     require_same_dim(a, b)
     if b.norm == 0.0:
@@ -233,7 +235,7 @@ def auxiliary_space(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -
     """
     require_same_dim(a, b)
     embed, coords = support_roots(a + b, tol)
-    a_tilde = factor_psd(coords.conj().T @ a.entries @ coords, tol)
+    a_tilde = PsdMatrix(coords.conj().T @ a.entries @ coords, tol)
     return AuxiliarySpace(a_tilde.dim, embed, a_tilde, tol)
 
 

@@ -202,28 +202,28 @@ def test_diagnostics_stay_finite_above_the_norm_overflow(capsys, tmp_path, comma
 def test_form_psum_runs_one_parallel_sum(capsys, eigensolves):
     code, _, _ = run_json(capsys, "psum", str(DATA / "form_pair.json"))
     assert code == 0
-    # eigh factors the sum and clips the product; eigvalsh validates the two
-    # input Grams and computes the two min-eig diagnostics.  T = [[1, 1], [1, 1]]
-    # and the sum are dense, while W = diag(1, 0), W - T:W (T:W = 0) and the
-    # clipped product split into two decoupled 1-dim blocks, one call each
+    # eigh validates the two input Grams on the factorizations they keep,
+    # factors the sum and clips the product; eigvalsh computes the two
+    # min-eig diagnostics.  T = [[1, 1], [1, 1]] and the sum are dense, while
+    # W = diag(1, 0), W - T:W (T:W = 0) and the clipped product split into two
+    # decoupled 1-dim blocks, one call each
     assert Counter((name, h.shape[0]) for name, h in eigensolves) == {
-        ("eigh", 2): 1, ("eigh", 1): 2, ("eigvalsh", 2): 2, ("eigvalsh", 1): 4}
+        ("eigh", 2): 2, ("eigh", 1): 4, ("eigvalsh", 2): 1, ("eigvalsh", 1): 2}
 
 
 @pytest.mark.parametrize("args,expected", [
-    (("psum",), 9),
-    (("decompose",), 5),
-    (("decompose", "--cross-check"), 5),
+    (("psum",), 4),
+    (("decompose",), 0),
+    (("decompose", "--cross-check"), 0),
 ], ids=["psum", "decompose", "cross-check"])
 def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolves, args,
                                                               expected):
     # the direct sum of validated densities (blocks 2 and 1) is PSD by
-    # construction.  The only eigvalsh calls are the five that validate the
-    # four densities as they are parsed (v's first density is I_2, two 1-dim
-    # blocks) and psum's two min-eig diagnostics, each one call per block of
-    # the direct sum.  The cross-check's parts are certified from the
-    # factorizations their routes hold, with no eigvalsh; revalidating a
-    # direct sum adds a call per block
+    # construction.  The four densities are validated as they are parsed on
+    # the eigh each keeps, so the only eigvalsh calls are psum's two min-eig
+    # diagnostics, each one call per block of the direct sum.  The
+    # cross-check's parts are certified from the factorizations their routes
+    # hold, with no eigvalsh; revalidating a direct sum adds a call per block
     code, _, _ = run_json(capsys, *args, str(DATA / "functional_pair.json"))
     assert code == 0
     assert sum(name == "eigvalsh" for name, _ in eigensolves) == expected

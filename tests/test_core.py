@@ -41,13 +41,67 @@ SQ2 = 1.0 / np.sqrt(2.0)
 
 
 def test_eig_identity(eigensolves):
-    # the identity is five decoupled 1-dim blocks, which keep their order
-    identity = PsdMatrix.identity(5)
-    eigensolves.clear()
-    dec = eig_hermitian(identity)
+    # the identity and the zero matrix carry their exact factorization
+    dec = eig_hermitian(PsdMatrix.identity(5))
     assert np.array_equal(dec.eigenvalues, np.ones(5))
     assert np.array_equal(dec.vectors, np.eye(5))
-    assert [(name, h.shape) for name, h in eigensolves] == [("eigh", (1, 1))] * 5
+    zero = eig_hermitian(PsdMatrix.zero(5))
+    assert np.array_equal(zero.eigenvalues, np.zeros(5))
+    assert np.array_equal(zero.vectors, np.eye(5))
+    assert eigensolves == []
+
+
+@pytest.mark.parametrize("dim", [0, 1, 5])
+def test_identity_and_zero_match_their_validated_construction(dim):
+    # the exact factorization is bitwise what the constructor computes
+    for fast, full in ((PsdMatrix.identity(dim), PsdMatrix(np.eye(dim))),
+                       (PsdMatrix.zero(dim), PsdMatrix(np.zeros((dim, dim))))):
+        assert np.array_equal(fast.entries, full.entries)
+        assert fast.entries.dtype == full.entries.dtype
+        kept, fresh = fast._factorization(), full._factorization()
+        assert np.array_equal(kept.dec.eigenvalues, fresh.dec.eigenvalues)
+        assert np.array_equal(kept.dec.vectors, fresh.dec.vectors)
+        assert kept.dec.vectors.dtype == fresh.dec.vectors.dtype
+        assert (kept.recon, kept.ortho) == (fresh.recon, fresh.ortho)
+
+
+@pytest.mark.parametrize("dim", [1, 5, 12, 64])
+def test_fresh_matrix_reads_the_eigh_it_was_validated_on(eigensolves, dim):
+    # the constructor keeps the one eigh it validated on: eig_hermitian runs
+    # no solver and returns numpy's eigh, bitwise, in stable descending order
+    m = random_psd(np.random.default_rng([8, dim]), dim)
+    eigensolves.clear()
+    dec = eig_hermitian(m)
+    assert eigensolves == []
+    w, v = np.linalg.eigh(m.entries)
+    order = np.argsort(-w, kind="stable")
+    assert np.array_equal(dec.eigenvalues, w[order])
+    assert np.array_equal(dec.vectors, v[:, order])
+
+
+@pytest.mark.parametrize("dim", [2, 5, 12, 64])
+def test_constructor_decision_at_the_slack_edge(dim):
+    # the smallest eigenvalue sits a relative delta inside or outside the
+    # slack -psd_slack * (1 + lambda_max).  eigh's and eigvalsh's eigenvalues
+    # differ by about 2e-15 * (1 + lambda_max), so the decision on the kept
+    # eigh agrees with an eigvalsh of the same array for delta >= 1e-3
+    rng = np.random.default_rng([9, dim])
+    slack = DEFAULT_TOL.psd_slack
+    for top in (1.0, 1e3):
+        for delta in (1e-3, 1e-2, 1e-1):
+            for sign, accept in ((-1.0, True), (1.0, False)):
+                lowest = -slack * (1.0 + top) * (1.0 + sign * delta)
+                w = np.concatenate([[top], rng.uniform(0.0, top, dim - 2), [lowest]])
+                q = random_unitary(rng, dim)
+                m = (q * w) @ q.conj().T
+                m = (m + m.conj().T) / 2.0
+                values = np.linalg.eigvalsh(_hermitian_part(m, DEFAULT_TOL))
+                assert bool(values[0] >= -slack * (1.0 + np.max(np.abs(values)))) is accept
+                if accept:
+                    PsdMatrix(m)
+                else:
+                    with pytest.raises(ValueError, match="not positive semidefinite"):
+                        PsdMatrix(m)
 
 
 def test_eig_diagonal():

@@ -63,11 +63,12 @@ def test_ando_eigensolve_count(eigensolves):
     # Romberg diagonal meets it twice in a row after 15 terms, where the
     # plain trace increments need 37
     assert result.converged and result.terms_used == 15
-    # A has rank 8: one eigh factors it, and each term's only eigensolve is
-    # the clip of its Schur complement on the 4-dim kernel of A; the two
-    # size-12 eighs are the settling round's projections, and the second
-    # one's spectrum certifies the settled limit, so no eigvalsh runs
-    assert _tally(eigensolves) == {("eigh", 12): 3, ("eigh", 4): 15}
+    # A has rank 8 and keeps the factorization it was validated on; each
+    # term's only eigensolve is the clip of its Schur complement on the 4-dim
+    # kernel of A; the two size-12 eighs are the settling round's
+    # projections, and the second one's spectrum certifies the settled
+    # limit, so no eigvalsh runs
+    assert _tally(eigensolves) == {("eigh", 12): 2, ("eigh", 4): 15}
 
 
 def test_ando_singular_part_needs_no_eigensolve(eigensolves):
@@ -104,13 +105,14 @@ def test_iterate_eigensolve_count(eigensolves):
     a, b = _pair(eigensolves)
     result = arlinskii_iterate(a, b)
     assert result.converged and result.iterations == 36
-    # B has rank 10, so the iteration runs on its range: one eigh each for B
-    # and for A's root factor, one SVD of the 2 x 8 rows of that factor off
-    # ran B (the short of A to ran B, F F* with F 10 x 6), one SVD of the
-    # 10 x 16 stack [diag(lam)^(1/2), F] and one of its 10 x 6 block Q_F*;
-    # the steps are a scalar recursion, and the final ac part is certified
-    # from B's factorization and the two SVDs, with no eigensolve
-    assert _tally(eigensolves) == {("eigh", 12): 2, ("svd", 2): 1, ("svd", 10): 2}
+    # B has rank 10, so the iteration runs on its range: B and A's root
+    # factor come from the factorizations the inputs were validated on, with
+    # no eigensolve; one SVD of the 2 x 8 rows of that factor off ran B (the
+    # short of A to ran B, F F* with F 10 x 6), one SVD of the 10 x 16 stack
+    # [diag(lam)^(1/2), F] and one of its 10 x 6 block Q_F*; the steps are a
+    # scalar recursion, and the final ac part is certified from B's
+    # factorization and the two SVDs, with no eigensolve
+    assert _tally(eigensolves) == {("svd", 2): 1, ("svd", 10): 2}
     assert sorted(h.shape for name, h in eigensolves if name == "svd") == [
         (2, 8), (10, 6), (10, 16)]
 
@@ -163,23 +165,30 @@ def test_induced_form_runs_no_eigensolve(eigensolves):
 def test_gns_eigensolve_count(eigensolves):
     w, _ = _block_pair(eigensolves)
     assert gns(w).space_dim == 8
-    # one eigh per density; the 13-dim Gram is never formed or factored
-    assert _tally(eigensolves) == {("eigh", 2): 1, ("eigh", 3): 1}
+    # the densities' kept spectra; the 13-dim Gram is never formed or factored
+    assert eigensolves == []
 
 
 def test_ando_factors_the_reference_once_and_no_scaled_copy(eigensolves):
-    a, b = _pair(eigensolves)
+    # A is factored once, at construction, and ando_ac_part factors neither
+    # A nor any 2^k A
+    rng = np.random.default_rng(5)
+    a = random_psd(rng, 12, rank=8)
+    assert [name for name, h in eigensolves if np.array_equal(h, a.entries)] == ["eigh"]
+    b = random_psd(rng, 12, rank=10)
+    eigensolves.clear()
     ando_ac_part(a, b)
     inputs = [h for _, h in eigensolves if h.shape == a.entries.shape]
-    assert sum(np.array_equal(h, a.entries) for h in inputs) == 1
+    assert not any(np.array_equal(h, a.entries) for h in inputs)
     for k in range(1, 41):
         scaled = (2.0**k) * a.entries
         assert not any(np.array_equal(h, scaled) for h in inputs), k
 
 
 def test_kept_spectrum_equals_a_fresh_factorization(eigensolves):
+    # the constructor validates on the one eigh it keeps
     m = random_psd(np.random.default_rng(1), 9, rank=6)
-    eigensolves.clear()
+    assert _tally(eigensolves) == {("eigh", 9): 1}
     dec = eig_hermitian(m)
     assert eig_hermitian(m) is dec
     assert _tally(eigensolves) == {("eigh", 9): 1}
@@ -210,9 +219,9 @@ def test_other_scalars_take_the_full_validation_path(eigensolves, scalar):
     eig_hermitian(m)
     eigensolves.clear()
     scaled = scalar * m
-    assert _tally(eigensolves) == {("eigvalsh", 9): 1}
+    assert _tally(eigensolves) == {("eigh", 9): 1}
     eig_hermitian(scaled)
-    assert _tally(eigensolves) == {("eigvalsh", 9): 1, ("eigh", 9): 1}
+    assert _tally(eigensolves) == {("eigh", 9): 1}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -23,7 +23,7 @@ from oplebesgue import (
 from oplebesgue import core, lebesgue
 from oplebesgue.core import psd_difference, roundoff
 
-from helpers import random_contraction, random_pair, random_psd
+from helpers import anderson_trapp_ac, random_contraction, random_pair, random_psd
 
 
 def test_step_fixes_singular_operand():
@@ -108,6 +108,26 @@ def test_iterate_carries_its_round_off_over_thousands_of_steps(spread, draw, con
     if converged:
         ref = direct_decompose(a, b).ac.entries
         assert np.linalg.norm(dec.ac.entries - ref) <= 1e-7 * b.norm
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_direct_matches_the_oracle_on_hostile_spreads():
+    # direct's a_tilde = S* A S with S = U / sqrt(lam) over ran(A + B) reads
+    # kernel eigenvalues of a_tilde as kept once lambda_min(C) / ||C|| drops
+    # below about 2e-6; on these draws it says converged 7.7e-3, 1.7e-6, 4.9e-6, 1.0,
+    # 9.3e-5 and 0.20 * ||B|| off the oracle
+    draws = {6: [184], 8: [132, 154, 197], 10: [32, 98]}
+    errors = {}
+    for spread, indices in draws.items():
+        rng = np.random.default_rng([31, spread])
+        for index in range(max(indices) + 1):
+            a, b = random_pair(rng, 12, ratio=10.0**spread)
+            if index in indices:
+                dec = decompose(a, b, "direct")
+                oracle = anderson_trapp_ac(a.entries, b.entries)
+                errors[spread, index] = (dec.converged,
+                                         np.linalg.norm(dec.ac.entries - oracle) / b.norm)
+    assert all(converged and error <= 1e-9 for converged, error in errors.values()), errors
 
 
 def _rank_deficient_pair(seed):
