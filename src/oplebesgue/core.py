@@ -116,18 +116,11 @@ class PsdMatrix:
 
     @classmethod
     def zero(cls, dim: int) -> PsdMatrix:
-        return cls._unit_diagonal(np.zeros(dim))
+        return cls(np.zeros((dim, dim)))
 
     @classmethod
     def identity(cls, dim: int) -> PsdMatrix:
-        return cls._unit_diagonal(np.ones(dim))
-
-    @classmethod
-    def _unit_diagonal(cls, values: np.ndarray) -> PsdMatrix:
-        """diag(values) for equal values 0 or 1, with its exact factorization
-        (V = I, both residuals zero) and no eigensolve."""
-        dec = EigenDecomposition(values, np.eye(values.size, dtype=np.complex128))
-        return cls._checked(np.diag(values).astype(np.complex128), _Factorization(dec, 0.0, 0.0))
+        return cls(np.eye(dim))
 
     @property
     def dim(self) -> int:

@@ -212,21 +212,22 @@ def test_form_psum_runs_one_parallel_sum(capsys, eigensolves):
 
 
 @pytest.mark.parametrize("args,expected", [
-    (("psum",), 4),
-    (("decompose",), 0),
-    (("decompose", "--cross-check"), 0),
+    (("psum",), {("eigh", 2): 6, ("eigh", 1): 7, ("eigvalsh", 2): 2, ("eigvalsh", 1): 2}),
+    (("decompose",), {("eigh", 2): 5, ("eigh", 1): 21}),
+    (("decompose", "--cross-check"), {("eigh", 2): 15, ("eigh", 1): 50, ("svd", 2): 4,
+                                      ("svd", 1): 1, ("svd", 0): 1}),
 ], ids=["psum", "decompose", "cross-check"])
 def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolves, args,
                                                               expected):
     # the direct sum of validated densities (blocks 2 and 1) is PSD by
-    # construction.  The four densities are validated as they are parsed on
-    # the eigh each keeps, so the only eigvalsh calls are psum's two min-eig
-    # diagnostics, each one call per block of the direct sum.  The
-    # cross-check's parts are certified from the factorizations their routes
-    # hold, with no eigvalsh; revalidating a direct sum adds a call per block
+    # construction.  The four densities are validated as they are parsed, on
+    # the eigh each keeps (one 2-dim call and four 1-dim ones: v's first
+    # density is I_2); psum's two eigvalsh per size are its min-eig
+    # diagnostics.  Revalidating a direct sum, by eigh or eigvalsh, adds a
+    # call per block of it and changes the tally
     code, _, _ = run_json(capsys, *args, str(DATA / "functional_pair.json"))
     assert code == 0
-    assert sum(name == "eigvalsh" for name, _ in eigensolves) == expected
+    assert Counter((name, h.shape[0]) for name, h in eigensolves) == expected
 
 
 def test_check_runs_one_parallel_sum_of_the_pair(capsys, monkeypatch):
