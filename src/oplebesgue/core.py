@@ -206,14 +206,15 @@ def _frobenius(m: np.ndarray) -> float:
 def _hermitian_part(entries, tol: Tolerances) -> np.ndarray:
     """Square, finite, Hermitian within ``recon_tol``: the averaged array
     m/2 + m*/2, which cannot overflow."""
-    m = np.array(entries, dtype=np.complex128)
+    m = np.asarray(entries, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     half = m / 2.0
-    # one contiguous adjoint serves both the check and the average
-    adjoint = np.ascontiguousarray(half.conj().T)
+    # one contiguous adjoint, written in one pass, serves both the check and
+    # the average
+    adjoint = np.conjugate(half.T, out=np.empty_like(half))
     scale = 1.0 + _frobenius(m)
     asym = 2.0 * _frobenius(half - adjoint)
     if asym > tol.recon_tol * scale:
@@ -310,7 +311,7 @@ def _svd_blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     zero row or column is a component of its own with no partner.  A matrix
     whose row 0 and column 0 have no zero is one component."""
     r, c = m.shape
-    if r == 0 or c == 0 or (np.all(m[0] != 0) and np.all(m[:, 0] != 0)):
+    if np.all(m[0] != 0) and np.all(m[:, 0] != 0):
         return [(np.arange(r), np.arange(c))]
     linked = np.zeros((r + c, r + c), dtype=bool)
     linked[:r, r:] = m != 0
@@ -320,7 +321,9 @@ def _svd_blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
     """Eigenvalues ascending: the sorted union over the blocks of ``_blocks``,
-    one solver call each."""
+    one solver call each (none for a 0 x 0 input)."""
+    if h.shape[0] == 0:
+        return np.zeros(0)
     blocks = _blocks(h)
     try:
         if len(blocks) == 1:
@@ -338,9 +341,15 @@ def _svd(m: np.ndarray, full_matrices: bool):
     Vh.  The paired vectors come first, in the stable descending order of
     their singular values; the blocks' null vectors follow, and s is padded
     with zeros to min(m.shape).  A matrix of one block takes exactly the
-    plain call.  Splitting keeps a direct sum's factors exactly block-local,
-    so products of them have exact zeros between the summands.
+    plain call, and an empty one none (its factors are identities).
+    Splitting keeps a direct sum's factors exactly block-local, so products
+    of them have exact zeros between the summands.
     """
+    r, c = m.shape
+    dtype = np.result_type(m.dtype, float)
+    if r == 0 or c == 0:
+        return (np.eye(r, r if full_matrices else 0, dtype=dtype), np.zeros(0),
+                np.eye(c if full_matrices else 0, c, dtype=dtype))
     blocks = _svd_blocks(m)
     try:
         if len(blocks) == 1:
@@ -352,8 +361,6 @@ def _svd(m: np.ndarray, full_matrices: bool):
                  for rows, cols in blocks]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    r, c = m.shape
-    dtype = np.result_type(m.dtype, float)
     u_all, vh_all = np.zeros((r, r), dtype=dtype), np.zeros((c, c), dtype=dtype)
     u_paired, vh_paired, u_null, vh_null = [], [], [], []
     u_at = vh_at = 0
@@ -396,7 +403,9 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     with one solver call per block of ``_blocks``.  Each block's eigenvectors
     fill only its own rows of V, so V* V - I is zero between blocks and its
     norm is the root sum of squares of the blocks' own residuals.  A matrix
-    of one block takes exactly the plain call."""
+    of one block takes exactly the plain call, a 0 x 0 one none."""
+    if h.shape[0] == 0:
+        return np.zeros(0), np.zeros((0, 0), dtype=np.result_type(h.dtype, float)), 0.0
     blocks = _blocks(h)
     values, vectors, residuals = [], [], []
     for idx in blocks:
@@ -462,12 +471,49 @@ def clip_psd(h: np.ndarray, noise: float, tol: Tolerances, context: str) -> PsdM
     by at most ``noise``, the backward-error scale of the computation that
     produced ``h``; anything more negative is a genuine failure of ``context``."""
     _, w, _, _, clipped = _clip(h, tol)
+    _require_above(w, noise, context)
+    return clipped
+
+
+def _require_above(w: np.ndarray, noise: float, context: str) -> None:
+    """The last of the descending eigenvalues ``w`` is at least ``-noise``;
+    below it, ``context`` failed."""
     if w.size and w[-1] < -noise:
         raise NumericalError(
             f"{context} lost positivity beyond round-off ({w[-1]:.3e})",
             residual=float(-w[-1]),
         )
-    return clipped
+
+
+def clip_psd_in_eigenbasis(h: np.ndarray, m: PsdMatrix, noise: float, tol: Tolerances,
+                           context: str) -> PsdMatrix:
+    """U1 C U1* for C the clip of ``h`` (as ``clip_psd``), where ``h`` is given
+    in the leading k = h.shape[0] columns U1 of M's eigenvectors U = [U1 | U0].
+    Only ``h`` is factored, C = V diag(c) V*; the result keeps the
+    factorization [U1 V | U0], zeros on U0.
+
+    With u and o the unitarity residuals of U and V, the computed U1 V is
+    U1 V + E with ||E||_F <= e = ``gram_roundoff(k, k g)``, where g = (1 + u)
+    (1 + o) bounds ||U1||_F^2 ||V||_F^2 / k^2.  So [U1 V | U0] = U diag(V, I)
+    + [E | 0] has unitarity residual at most (1 + o) u + o + (2 sqrt(g) + e) e.
+    """
+    w, v, o = _eigh(h / 2.0 + h.conj().T / 2.0)
+    _require_above(w, noise, context)
+    k = w.size
+    u = eig_hermitian(m, tol).vectors
+    u_ortho = m._factorization().ortho
+    g = (1.0 + u_ortho) * (1.0 + o)
+    e = gram_roundoff(k, k * g)
+    # the clipped values stay descending and nonnegative, and the zeros on U0
+    # are left out of the product
+    c = np.clip(w, 0.0, None)
+    lifted = u[:, :k] @ v
+    product = (lifted * c) @ lifted.conj().T
+    entries = _hermitian_part(product, tol)
+    dec = EigenDecomposition(np.concatenate([c, np.zeros(m.dim - k)]),
+                             np.hstack([lifted, u[:, k:]]))
+    ortho = (1.0 + o) * u_ortho + o + (2.0 * math.sqrt(g) + e) * e
+    return PsdMatrix._checked(entries, _Factorization(dec, _frobenius(entries - product), ortho))
 
 
 def _clip(h: np.ndarray, tol: Tolerances):

@@ -14,6 +14,7 @@ from .core import (
     _eigvalsh,
     _frobenius,
     clip_psd,
+    clip_psd_in_eigenbasis,
     clip_psd_with_floor,
     eig_hermitian,
     gram_roundoff,
@@ -103,83 +104,84 @@ def _nearest_in_order_interval(h: np.ndarray, upper: np.ndarray, noise: float,
     return x, complement.entries
 
 
-# Norm ratio beyond which the pseudoinverse of the sum is evaluated by
-# deflating the large operand's kernel first (see _scaled_pseudo_apply).
-_SCALE_SPLIT_RATIO = 100.0
+def _rotated(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """U* M U for a Hermitian M, kept as its Hermitian part."""
+    mt = u.conj().T @ m @ u
+    return mt / 2.0 + mt.conj().T / 2.0
 
 
-def _kernel_split_solve(lam: np.ndarray, s11: np.ndarray, s10: np.ndarray, s00: np.ndarray,
-                        rhs1: np.ndarray, rhs0: np.ndarray, small_norm: float,
-                        tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """(D + S)^+ [rhs1; rhs0] in a basis that splits the large operand D into
-    its kept eigenvalues ``lam`` (D = diag(lam) there) and its kernel.
+def _kernel_split_parallel_sum(lam: np.ndarray, st: np.ndarray, small_norm: float, tol: Tolerances,
+                        on_range: bool = False) -> tuple[np.ndarray, float]:
+    """(T, inverse): T = S - S (D + S)^+ S as its Hermitian part, in a basis
+    that splits the large operand D into its kept eigenvalues ``lam`` (D =
+    diag(lam) on the leading block) and its kernel (D = 0).
 
-    S is the small operand in that basis, with blocks ``s11`` (kept x kept),
-    ``s10`` (kept x kernel) and ``s00`` (kernel x kernel), of norm
-    ``small_norm``; the solution comes back split the same way.  The kept
-    block is inverted by a well-conditioned solve against h = diag(lam) +
-    s11, and the kernel block through the Schur complement s00 - s10* h^-1
-    s10, which lives entirely at the small scale.
+    ``st`` is the small operand S in that basis, of norm ``small_norm``, with
+    blocks S11 (kept x kept), S10 (kept x kernel) and S00 (kernel x kernel).
+    The kept block is inverted by a well-conditioned solve against h =
+    diag(lam) + S11, and the kernel block through the Schur complement
+    Sigma = S00 - S10* h^-1 S10, which lives entirely at the small scale.
+    When Sigma's pseudoinverse keeps every eigenvalue, D + S is invertible
+    and T = D - D (D + S)^-1 D vanishes outside the kept block; with
+    ``on_range`` only that block of T is then formed.  ``inverse`` is
+    max(1 / min lam, 1 / sigma), sigma the smallest kept eigenvalue of
+    Sigma: a bound on the norm of diag(h^-1, Sigma^+), since h >= diag(lam).
     """
-    h = np.diag(lam) + s11
-    hinv_f = np.linalg.solve(h, s10)
-    raw_schur = s00 - s10.conj().T @ hinv_f
-    schur = clip_psd(raw_schur, roundoff(lam.size + s00.shape[0], small_norm), tol,
-                     "Schur complement")
+    r = lam.size
+    s1, s0 = st[:r], st[r:]
+    h = np.diag(lam) + s1[:, :r]
+    hinv_f = np.linalg.solve(h, s1[:, r:])
+    schur = clip_psd(s0[:, r:] - s1[:, r:].conj().T @ hinv_f,
+                     roundoff(st.shape[0], small_norm), tol, "Schur complement")
     # Its rank is decided against ||S||: when S lies in the large operand's
     # range the complement is round-off, which its own largest eigenvalue
     # would keep.
     schur_pinv = pinv(schur, tol, reference=small_norm).entries
-    z0 = schur_pinv @ (rhs0 - hinv_f.conj().T @ rhs1)
-    z1 = np.linalg.solve(h, rhs1 - s10 @ z0)
-    return z1, z0
-
-
-def _scaled_pseudo_apply(big: PsdMatrix, small: PsdMatrix, tol: Tolerances) -> np.ndarray:
-    """(big + small)^+ small, evaluated stably under a large norm mismatch.
-
-    A relative eigenvalue cutoff on big + small misclassifies eigenvalues at
-    the small operand's scale once the mismatch exceeds about 1/rank_rtol,
-    and the eigenvectors of the mixed-scale sum lose accuracy long before
-    that.  Splitting along the range and kernel of the large operand keeps
-    every block at its natural scale (``_kernel_split_solve``).
-    """
-    dec = eig_hermitian(big, tol)
-    keep = tol.support(dec.eigenvalues)
-    u1 = dec.vectors[:, keep]
-    u0 = dec.vectors[:, ~keep]
-    s = small.entries
-    z1, z0 = _kernel_split_solve(
-        dec.eigenvalues[keep], u1.conj().T @ s @ u1, u1.conj().T @ s @ u0,
-        u0.conj().T @ s @ u0, u1.conj().T @ s, u0.conj().T @ s, small.norm, tol)
-    return u1 @ z1 + u0 @ z0
+    w = eig_hermitian(schur, tol).eigenvalues
+    kept = w[tol.support(w, small_norm)]
+    cols = r if on_range and kept.size == w.size else st.shape[0]
+    z0 = schur_pinv @ (s0[:, :cols] - hinv_f.conj().T @ s1[:, :cols])
+    z1 = np.linalg.solve(h, s1[:, :cols] - s1[:, r:] @ z0)
+    t = st[:cols, :cols] - s1[:, :cols].conj().T @ z1 - s0[:, :cols].conj().T @ z0
+    inverse = max(1.0 / lam[-1] if r else 0.0, 1.0 / kept[-1] if kept.size else 0.0)
+    return t / 2.0 + t.conj().T / 2.0, inverse
 
 
 def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
     """Parallel sum A : B = A (A + B)^+ B of two PSD matrices.
 
     This is the unique PSD matrix whose quadratic form at x is
-    inf over y of <A(x-y), x-y> + <By, y>; the computed product is replaced
-    by its Hermitian part to stop asymmetry drift.
+    inf over y of <A(x-y), x-y> + <By, y>.  It is evaluated as
+    S - S (D + S)^+ S, with D the operand of larger norm and S the other,
+    which equals A (A+B)^+ B exactly but keeps every intermediate bounded by
+    ||S||.  The evaluation runs in D's own eigenbasis U = [U1 | U0] (kept |
+    kernel), read off D's factorization: S is rotated once to U* S U and
+    goes through the kernel-split solve of ``_kernel_split_parallel_sum``, whose one
+    eigensolve is of the dim ker D Schur complement.  When that complement is
+    nonsingular the product vanishes outside ran D, so only its kept block is
+    formed and clipped, and the result U1 C U1* keeps the factorization
+    [U1 V | U0]; otherwise the whole rotated product is clipped.
+
+    Positivity bound.  With G = h^-1 S10 and L = [I 0; G* I], the split
+    computes S (D + S)^+ S = Y* diag(h^-1, Sigma^+) Y for Y = L^-1 U* S U.
+    Rounding of relative size eps in the rotated operands and the sums
+    enters T at the scale ||A|| + ||B|| + ||S||; rounding in the two solves
+    is amplified by the middle factor, of norm at most ``inverse`` =
+    max(1 / lambda_min,kept(D), 1 / sigma_min,kept(Sigma)), and reaches T
+    through the two outer factors Y, taken at the scale ||S|| of S.  So the
+    clip allows eigenvalues down to -roundoff(n, ||A|| + ||B|| + ||S|| +
+    ||S||^2 inverse): the dense bound ||S||^2 lambda_max((A + B)^+) read off
+    the split's own factors.  The growth of Y over ||S|| in the elimination
+    is not bounded a priori; it is left to ``roundoff``'s dimension factor.
     """
     require_same_dim(a, b)
-    if a.dim == 0:
-        return PsdMatrix.zero(0)
     big, small = (a, b) if a.norm >= b.norm else (b, a)
-    s = small.entries
-    # Evaluated as S - S (A+B)^+ S with S the smaller operand, which equals
-    # A (A+B)^+ B exactly but keeps every intermediate bounded by ||S||; the
-    # direct product picks up indefinite noise of order eps * ||A+B||.
-    if small.norm > 0.0 and big.norm / small.norm > _SCALE_SPLIT_RATIO:
-        prod = s - s @ _scaled_pseudo_apply(big, small, tol)
-        amplified = small.norm
-    else:
-        pseudo = pinv(a + b, tol)
-        prod = s - s @ pseudo.entries @ s
-        # Products against the pseudoinverse amplify round-off by up to
-        # ||S||^2 times its largest eigenvalue.
-        amplified = small.norm**2 * float(eig_hermitian(pseudo, tol).eigenvalues[0])
-    return clip_psd(prod, roundoff(a.dim, a.norm + b.norm + amplified), tol, "parallel sum")
+    dec = eig_hermitian(big, tol)
+    lam = dec.eigenvalues[tol.support(dec.eigenvalues)]
+    t, inverse = _kernel_split_parallel_sum(lam, _rotated(dec.vectors, small.entries), small.norm, tol,
+                                     on_range=True)
+    noise = roundoff(a.dim, a.norm + b.norm + small.norm + small.norm**2 * inverse)
+    return clip_psd_in_eigenbasis(t, big, noise, tol, "parallel sum")
 
 
 def variational_value(
@@ -327,18 +329,13 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     keep = tol.support(dec.eigenvalues)
     if not keep.any():
         return AndoLimitResult(PsdMatrix.zero(b.dim), 1, 0.0, True, b)
+    # the kept eigenvalues lead, so U = [U1 | U0] is the factorization's own
     lam = dec.eigenvalues[keep]
-    u = np.hstack([dec.vectors[:, keep], dec.vectors[:, ~keep]])
-    bt = u.conj().T @ b.entries @ u
-    bt = bt / 2.0 + bt.conj().T / 2.0
-    r = lam.size
-    b1, b0 = bt[:r], bt[r:]
+    u = dec.vectors
+    bt = _rotated(u, b.entries)
 
     def term(k: int) -> np.ndarray:
-        z1, z0 = _kernel_split_solve((2.0**k) * lam, b1[:, :r], b1[:, r:], b0[:, r:], b1, b0,
-                                     b.norm, tol)
-        t = bt - b1.conj().T @ z1 - b0.conj().T @ z0
-        return t / 2.0 + t.conj().T / 2.0
+        return _kernel_split_parallel_sum((2.0**k) * lam, bt, b.norm, tol)[0]
 
     threshold = tol.iter_tol * b.trace
     current = term(0)

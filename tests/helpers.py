@@ -54,6 +54,20 @@ def _svd_pinv(m, cutoff):
     return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
 
 
+def schur_parallel_sum(a, b, rtol=1e-10):
+    """A : B as the Schur complement A - A (A + B)^+ A of [[A, A], [A, A + B]].
+
+    An oracle that shares no code with the package: numpy's SVD only, the
+    pseudoinverse dropping singular values at most ``rtol`` times the
+    largest of A + B.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    m = a + b
+    cutoff = rtol * np.linalg.norm(m, 2) if m.size else 0.0
+    out = a - a @ _svd_pinv(m, cutoff) @ a
+    return (out + out.conj().T) / 2.0
+
+
 def anderson_trapp_ac(a, b, rtol=1e-10):
     """Absolutely continuous part of B relative to A as the Anderson-Trapp short.
 

@@ -557,6 +557,22 @@ def test_one_svd_block_is_one_plain_solver_call(eigensolves, zero_entry, full):
         assert np.array_equal(part, ref)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+@pytest.mark.parametrize("full", [True, False], ids=["full", "thin"])
+def test_empty_inputs_make_no_solver_call(eigensolves, shape, full):
+    # the factors of an empty input are identities of the right shapes
+    m = np.zeros(shape, dtype=np.complex128)
+    got = _svd(m, full)
+    if shape[0] == shape[1]:
+        w, v, ortho = _eigh(m)
+        assert (w.shape, v.shape, v.dtype, ortho) == ((0,), (0, 0), np.complex128, 0.0)
+        assert _eigvalsh(m).shape == (0,)
+    assert eigensolves == []
+    for part, ref in zip(got, np.linalg.svd(m, full_matrices=full)):
+        assert part.shape == ref.shape and part.dtype == ref.dtype
+        assert np.array_equal(part, ref)
+
+
 def test_only_core_calls_the_eigensolvers():
     # One solver boundary: core turns a LAPACK failure into NumericalError and
     # looks numpy up at call time, so the eigensolves fixture sees every call.

@@ -14,10 +14,16 @@ from oplebesgue import (
     spectral_ac_of_contraction,
     variational_value,
 )
-from oplebesgue import parallel
+from oplebesgue import eig_hermitian, parallel
 from oplebesgue.lebesgue import arlinskii_iterate
 
-from helpers import anderson_trapp_ac, random_contraction, random_pair, random_psd
+from helpers import (
+    anderson_trapp_ac,
+    random_contraction,
+    random_pair,
+    random_psd,
+    schur_parallel_sum,
+)
 
 
 def test_equal_identities_halve():
@@ -43,6 +49,53 @@ def test_small_operand_inside_the_large_ones_range(ratio):
     q = np.array([1.0, 2.0, 2.0]) / 3.0
     got = parallel_sum(PsdMatrix(np.outer(q, q)), PsdMatrix(ratio * np.outer(q, q)))
     assert np.linalg.norm(got.entries - ratio / (1.0 + ratio) * np.outer(q, q)) <= 1e-13
+
+
+@pytest.mark.parametrize("exponent", [3, 6, 8, 10, 12])
+def test_parallel_sum_matches_the_schur_oracle_on_hostile_spreads(exponent):
+    # every draw clears the positivity bound: a bound at the scale of the
+    # small operand alone, blind to the conditioning of the split, rejected
+    # 1, 2, 1 and 5 of these draws at 1e6, 1e8, 1e10 and 1e12.  The oracle's
+    # cutoff on A + B and the package's on the larger operand and the Schur
+    # complement can decide eigenvalues near 1e-10 of the largest
+    # differently, by up to about 4e-8
+    rng = np.random.default_rng([31, exponent])
+    for i in range(150):
+        a, b = random_pair(rng, 12, ratio=10.0**exponent)
+        error = np.linalg.norm(parallel_sum(a, b).entries
+                               - schur_parallel_sum(a.entries, b.entries))
+        assert error <= 1e-7 * (a.norm + b.norm), (i, error)
+
+
+def test_parallel_sum_clears_the_bound_on_an_ill_conditioned_split():
+    # the Schur complement's smallest kept eigenvalue, 3.9e-7, sets the
+    # round-off of the product: its clip cuts -7.6e-13, against 2.5e-13 at
+    # the scale of ||S|| alone
+    a, b = random_pair(np.random.default_rng([3, 6, 282]), 12, ratio=1e6)
+    error = np.linalg.norm(parallel_sum(a, b).entries - schur_parallel_sum(a.entries, b.entries))
+    assert error <= 1e-10 * (a.norm + b.norm)
+
+
+def test_nonsingular_split_stays_on_the_larger_range(eigensolves):
+    # B is invertible, so the Schur complement on ker A is nonsingular: the
+    # result is A's kept eigenvectors times the clipped 6 x 6 block, kept
+    # with A's kernel vectors at eigenvalue zero, and needs no eigensolve of
+    # its own afterwards
+    rng = np.random.default_rng(26)
+    a, b = random_psd(rng, 9, rank=6, scale=10.0), random_psd(rng, 9, rank=9)
+    eigensolves.clear()
+    got = parallel_sum(a, b)
+    assert [h.shape[0] for _, h in eigensolves] == [3, 6]
+    eigensolves.clear()
+    dec, kernel = eig_hermitian(got), eig_hermitian(a).vectors[:, 6:]
+    assert eigensolves == []
+    assert np.array_equal(dec.vectors[:, 6:], kernel)
+    assert np.array_equal(dec.eigenvalues[6:], np.zeros(3))
+    assert np.linalg.norm(got.entries @ kernel) <= 1e-14 * got.norm
+    rebuilt = (dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T
+    assert np.allclose(rebuilt, got.entries, rtol=0.0, atol=1e-14 * got.norm)
+    oracle = schur_parallel_sum(a.entries, b.entries)
+    assert np.linalg.norm(got.entries - oracle) <= 1e-13 * (a.norm + b.norm)
 
 
 def test_dimension_mismatch():
