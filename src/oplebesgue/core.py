@@ -153,16 +153,7 @@ class PsdMatrix:
             return NotImplemented
         if scalar < 0:
             raise ValueError("scaling a PSD matrix requires a nonnegative factor")
-        entries = self._entries * scalar
-        # A power-of-two factor of at least one is exact in binary floating
-        # point, so the product's eigendecomposition is this matrix's with the
-        # eigenvalues scaled; a finite ||s M||_F bounds every entry and
-        # eigenvalue of the product.
-        if scalar >= 1 and math.frexp(scalar)[0] == 0.5 and math.isfinite(scalar * self.norm):
-            factored = self._factorization().scaled(scalar)
-            _require_psd(factored.dec.eigenvalues, DEFAULT_TOL)
-            return PsdMatrix._checked(entries, factored)
-        return PsdMatrix(entries)
+        return PsdMatrix(self._entries * scalar)
 
     __rmul__ = __mul__
 
@@ -392,11 +383,6 @@ class _Factorization(NamedTuple):
     recon: float
     ortho: float
 
-    def scaled(self, factor: float) -> _Factorization:
-        """The factorization of ``factor * M`` for an exact scaling."""
-        dec = EigenDecomposition(self.dec.eigenvalues * factor, self.dec.vectors)
-        return _Factorization(dec, self.recon * factor, self.ortho)
-
 
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenvalues (descending, stable order), eigenvectors V and ||V* V - I||,
@@ -548,14 +534,11 @@ def clip_psd_with_floor(h: np.ndarray, tol: Tolerances) -> tuple[PsdMatrix, floa
     return clipped, floor
 
 
-def support_roots(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """(R, S) = (U sqrt(lam), U / sqrt(lam)) over the support of
-    M = U diag(lam) U*: M = R R* and R* S = I."""
+def support_roots(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """R = U sqrt(lam) over the support of M = U diag(lam) U* (M = R R*), from M's kept factors."""
     dec = eig_hermitian(m, tol)
     keep = tol.support(dec.eigenvalues)
-    root = np.sqrt(dec.eigenvalues[keep])
-    u = dec.vectors[:, keep]
-    return u * root, u / root
+    return dec.vectors[:, keep] * np.sqrt(dec.eigenvalues[keep])
 
 
 def eig_hermitian(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:

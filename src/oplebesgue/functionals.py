@@ -14,11 +14,12 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    EigenDecomposition,
     PsdMatrix,
     Tolerances,
+    _Factorization,
     clip_psd,
     eig_hermitian,
-    psd_by_construction,
 )
 from .forms import SesquilinearForm, form_decompose, form_parallel_sum
 from .lebesgue import LebesgueDecomposition, Method
@@ -179,13 +180,20 @@ def induced_form(w: Functional, tol: Tolerances = DEFAULT_TOL) -> SesquilinearFo
     """The form t(a, b) = w(b* a) over the matrix-unit basis.
 
     On a full matrix block with density rho the Gram restricts to
-    kron(I, rho^T), since w(E_ij* E_kl) = delta_ik rho[l, j].  The Gram is a
-    direct sum of exact copies of the validated rho^T, so its spectrum is
-    theirs: it is PSD by construction and gets no eigensolve of its own.
+    kron(I, rho^T), since w(E_ij* E_kl) = delta_ik rho[l, j].  As a direct
+    sum of exact copies of the validated rho^T = conj V diag(lam) V^T it gets
+    no eigensolve and keeps their factorizations, copied block by block.
     """
-    gram = _direct_sum([np.kron(np.eye(n), rho.entries.T)
-                        for rho, n in zip(w.densities, w.algebra.block_dims)])
-    return SesquilinearForm(w.algebra.basis_labels(), psd_by_construction(gram, tol))
+    dims, factored = w.algebra.block_dims, [rho._factorization() for rho in w.densities]
+    gram = _direct_sum([np.kron(np.eye(n), rho.entries.T) for rho, n in zip(w.densities, dims)])
+    values = np.concatenate([np.tile(f.dec.eigenvalues, n) for f, n in zip(factored, dims)])
+    order = np.argsort(-values, kind="stable")
+    vectors = _direct_sum([np.kron(np.eye(n), f.dec.vectors.conj()) for f, n in zip(factored, dims)])
+    recon = np.sqrt(sum(n * f.recon**2 for f, n in zip(factored, dims)))
+    ortho = np.sqrt(sum(n * f.ortho**2 for f, n in zip(factored, dims)))
+    dec = EigenDecomposition(values[order], vectors[:, order])
+    gram = PsdMatrix._checked(gram, _Factorization(dec, recon, ortho))
+    return SesquilinearForm(w.algebra.basis_labels(), gram)
 
 
 def _direct_sum(blocks) -> np.ndarray:

@@ -16,9 +16,11 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    NumericalError,
     PsdMatrix,
     Tolerances,
     _frobenius,
+    _from_spectrum,
     _svd,
     eig_hermitian,
     psd_by_construction,
@@ -84,23 +86,23 @@ class AuxiliarySpace:
 
     embed is the dim x rank factor with embed @ embed* = C; a_tilde and
     b_tilde are the positive contractions carrying A and B back through the
-    embedding, with a_tilde + b_tilde = I.  b_tilde is built on first use,
-    under the tolerances ``tol`` the space was built with.
+    embedding, with a_tilde + b_tilde = I.  b_tilde is built on first use on
+    its spectrum ``_complement`` over a_tilde's eigenvectors, under ``tol``.
     """
 
     rank: int
     embed: np.ndarray
     a_tilde: PsdMatrix
     tol: Tolerances = field(repr=False)
+    _complement: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.embed.flags.writeable = False
 
     @cached_property
     def b_tilde(self) -> PsdMatrix:
-        """I - a_tilde, built on the spectrum 1 - mu of a_tilde = V diag(mu) V*."""
-        mu = eig_hermitian(self.a_tilde, self.tol).eigenvalues
-        return spectral_map(self.a_tilde, 1.0 - mu, self.tol)
+        """I - a_tilde: a_tilde's eigenvectors with the spectrum ``_complement``."""
+        return spectral_map(self.a_tilde, self._complement, self.tol)
 
 
 def arlinskii_step(x: PsdMatrix, a: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
@@ -128,7 +130,7 @@ def _range_compression(
     dec = eig_hermitian(b, tol)
     keep = tol.support(dec.eigenvalues)
     u, u0 = dec.vectors[:, keep], dec.vectors[:, ~keep]
-    root, _ = support_roots(a, tol)
+    root = support_roots(a, tol)
     _, sigma, vh = _svd(u0.conj().T @ root, True)
     top = eig_hermitian(a, tol).eigenvalues[0]
     kernel = vh[np.count_nonzero(tol.support(sigma**2, top)):]
@@ -155,9 +157,7 @@ def arlinskii_iterate(
     When A has eigenvalues many orders below those of B on a shared subspace
     the iteration needs roughly one step per eigenvalue ratio, so it carries
     ``max_iter`` and a non-converged flag.  No route is the reference: the
-    tests judge each against an independent oracle, and on hostile spreads
-    ``direct`` is not yet within it (the strict xfail
-    ``test_direct_matches_the_oracle_on_hostile_spreads``).
+    tests judge each against an independent oracle.
     """
     require_same_dim(a, b)
     if b.norm == 0.0:
@@ -227,16 +227,27 @@ def _limit_floor(b: PsdMatrix, lam: np.ndarray, gw: np.ndarray, y: np.ndarray, g
 def auxiliary_space(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> AuxiliarySpace:
     """Factor C = A + B as embed @ embed* and split the identity it carries.
 
-    With C = U diag(lam) U* and r the rank of C under the relative cutoff:
-    embed = U_r diag(sqrt(lam)), a_tilde the congruence of A by
-    diag(1/sqrt(lam)) U_r*, and b_tilde = I - a_tilde, built on the spectrum
-    1 - mu of a_tilde = V diag(mu) V* when first read.  Rank zero yields the
-    empty space.
+    With root factors A = X X* and B = Y Y* read off the inputs' kept
+    factorizations, the SVD [X Y]* = [V_X; V_Y] diag(s) U* gives embed =
+    U_r diag(s_r) over s above the cutoff (on s, not s^2, so B's mass below
+    rank_rtol ||A|| stays), a_tilde = V_X* V_X = Q diag(sigma^2) Q* by one SVD
+    of V_X*, and b_tilde = V_Y* V_Y = Q diag(||V_Y q_i||^2) Q*; nothing is
+    divided by s.  Rank zero yields the empty space; C that overflows raises.
     """
     require_same_dim(a, b)
-    embed, coords = support_roots(a + b, tol)
-    a_tilde = PsdMatrix(coords.conj().T @ a.entries @ coords, tol)
-    return AuxiliarySpace(a_tilde.dim, embed, a_tilde, tol)
+    x = support_roots(a, tol)
+    v, s, uh = _svd(np.vstack([x.conj().T, support_roots(b, tol).conj().T]), False)
+    if s.size and s[0] > np.sqrt(np.finfo(float).max):
+        raise NumericalError(f"sum A + B overflows: its largest eigenvalue is {s[0]:.3e} squared")
+    rank = int(np.count_nonzero(tol.support(s)))
+    embed = uh[:rank].conj().T * s[:rank]
+    q, sigma = _svd(v[:x.shape[1], :rank].conj().T, True)[:2]
+    complement = np.sum(np.abs(v[x.shape[1]:, :rank] @ q) ** 2, axis=0)
+    # sigma descends, so a_tilde keeps Q's column order; J*'s factors are freed first
+    del x, v, uh
+    mu = np.pad(sigma**2, (0, rank - sigma.size))
+    a_tilde = _from_spectrum(mu, q, _frobenius(q.conj().T @ q - np.eye(rank)), tol)
+    return AuxiliarySpace(rank, embed, a_tilde, tol, complement)
 
 
 def direct_decompose(
@@ -247,23 +258,20 @@ def direct_decompose(
     With a_tilde = V diag(mu) V* and G = embed @ V, the singular part is the
     compression G_0 G_0* of the projection onto the kernel of a_tilde, and
     the absolutely continuous part is G_1 diag(1 - mu_1) G_1*, the
-    compression of b_tilde minus that projection, over the kept
-    eigenvectors.  Both are Gram products X X* built from that one
-    eigendecomposition, so they are positive by construction (no validating
-    eigensolve) and carry round-off of their own size, not of C's.  Kernel
+    compression of b_tilde minus that projection, over the kept eigenvectors
+    (a prefix), with 1 - mu read as b_tilde's spectrum ``_complement``.
+    Both are Gram products X X*, so they are positive by construction (no
+    validating eigensolve) and carry round-off of their own size.  Kernel
     membership uses the relative rank cutoff, so a_tilde that vanishes
     entirely makes all of B singular.
     """
-    require_same_dim(a, b)
     aux = auxiliary_space(a, b, tol)
     dec = eig_hermitian(aux.a_tilde, tol)
-    mu = dec.eigenvalues
-    keep = tol.support(mu)
-    g = aux.embed @ dec.vectors
-    g0 = g[:, ~keep]
-    g1 = g[:, keep]
-    sing = psd_by_construction(g0 @ g0.conj().T, tol)
-    ac = psd_by_construction((g1 * np.clip(1.0 - mu[keep], 0.0, None)) @ g1.conj().T, tol)
+    kept = int(np.count_nonzero(tol.support(dec.eigenvalues)))
+    g, nu = aux.embed @ dec.vectors, aux._complement[:kept]
+    del aux, dec
+    sing = psd_by_construction(g[:, kept:] @ g[:, kept:].conj().T, tol)
+    ac = psd_by_construction((g[:, :kept] * nu) @ g[:, :kept].conj().T, tol)
     return LebesgueDecomposition(ac, sing, Method.DIRECT, 0, 0.0, True)
 
 

@@ -213,10 +213,11 @@ def test_form_psum_runs_one_parallel_sum(capsys, eigensolves):
 
 
 @pytest.mark.parametrize("args,expected", [
-    (("psum",), {("eigh", 2): 5, ("eigh", 1): 9, ("eigvalsh", 2): 2, ("eigvalsh", 1): 2}),
-    (("decompose",), {("eigh", 2): 5, ("eigh", 1): 21}),
-    (("decompose", "--cross-check"), {("eigh", 2): 15, ("eigh", 1): 50, ("svd", 2): 4,
-                                      ("svd", 1): 1}),
+    (("psum",), {("eigh", 2): 3, ("eigh", 1): 8, ("eigvalsh", 2): 2, ("eigvalsh", 1): 2}),
+    (("decompose",), {("eigh", 2): 2, ("eigh", 1): 17, ("svd", 4): 2, ("svd", 2): 2,
+                      ("svd", 1): 1}),
+    (("decompose", "--cross-check"), {("eigh", 2): 10, ("eigh", 1): 35, ("svd", 4): 2,
+                                      ("svd", 2): 6, ("svd", 1): 2}),
 ], ids=["psum", "decompose", "cross-check"])
 def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolves, args,
                                                               expected):
@@ -224,8 +225,11 @@ def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolve
     # construction.  The four densities are validated as they are parsed, on
     # the eigh each keeps (one 2-dim call and four 1-dim ones: v's first
     # density is I_2); psum's two eigvalsh per size are its min-eig
-    # diagnostics.  Revalidating a direct sum, by eigh or eigvalsh, adds a
-    # call per block of it and changes the tally
+    # diagnostics.  The induced Grams keep their densities' factorizations, so
+    # no route factors a Gram: direct's only solves on them are the SVDs of
+    # the root-factor stack [X Y]* (4 x 2 twice, 1 x 1) and of V_X* (2 x 2
+    # twice).  Revalidating a direct sum, by eigh or eigvalsh, adds a call per
+    # block of it and changes the tally
     code, _, _ = run_json(capsys, *args, str(DATA / "functional_pair.json"))
     assert code == 0
     assert Counter((name, h.shape[0]) for name, h in eigensolves) == expected

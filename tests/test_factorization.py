@@ -52,9 +52,12 @@ def test_parallel_sum_factors_the_sum_once(eigensolves):
 def test_direct_eigensolve_count(eigensolves):
     a, b = _pair(eigensolves)
     direct_decompose(a, b)
-    # eigh for A + B and a_tilde (b_tilde reuses its spectrum); sing and ac
-    # are Gram products, positive by construction
-    assert _tally(eigensolves) == {("eigh", 12): 2}
+    # the root factors X (12 x 8) and Y (12 x 10) are read off the inputs'
+    # kept factorizations: one SVD of the 18 x 12 stack [X Y]* and one of the
+    # 12 x 8 block V_X* that factors a_tilde; neither A + B nor a_tilde is
+    # eigensolved, and sing and ac are Gram products, positive by construction
+    assert _tally(eigensolves) == {("svd", 18): 1, ("svd", 12): 1}
+    assert sorted(h.shape for _, h in eigensolves) == [(12, 8), (18, 12)]
 
 
 def test_ando_eigensolve_count(eigensolves):
@@ -101,6 +104,21 @@ def test_ando_calls_no_other_route(monkeypatch):
     assert ando_ac_part(a, b).converged
 
 
+def test_direct_calls_no_other_route(monkeypatch):
+    # direct builds its own root-factor stack: it must not run iterate's
+    # short of A to ran B, the parallel sum or the doubling limit
+    from oplebesgue import lebesgue
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("direct_decompose reached another route")
+
+    for name in ("_range_compression", "parallel_sum", "ando_ac_part"):
+        monkeypatch.setattr(lebesgue, name, forbidden)
+    rng = np.random.default_rng(5)
+    a, b = random_psd(rng, 12, rank=8), random_psd(rng, 12, rank=10)
+    assert direct_decompose(a, b).sing.norm > 0.0
+
+
 def test_iterate_eigensolve_count(eigensolves):
     a, b = _pair(eigensolves)
     result = arlinskii_iterate(a, b)
@@ -119,8 +137,9 @@ def test_iterate_eigensolve_count(eigensolves):
 
 def test_b_tilde_is_built_on_first_use(eigensolves):
     # direct never reads b_tilde, so auxiliary_space does not build it; the
-    # first read gives I - a_tilde on a_tilde's spectrum, with no eigensolve,
-    # and later reads return the same matrix
+    # first read gives I - a_tilde on a_tilde's eigenvectors, with no
+    # eigensolve, and later reads return the same matrix.  Its spectrum
+    # ||V_Y q_i||^2 is 1 - mu_i to round-off, but not by subtraction
     a, b = _pair(eigensolves)
     aux = auxiliary_space(a, b)
     assert "b_tilde" not in vars(aux)
@@ -129,7 +148,8 @@ def test_b_tilde_is_built_on_first_use(eigensolves):
     assert eigensolves == []
     assert aux.b_tilde is b_tilde
     mu = eig_hermitian(aux.a_tilde).eigenvalues
-    assert np.array_equal(b_tilde.entries, spectral_map(aux.a_tilde, 1.0 - mu).entries)
+    assert np.array_equal(b_tilde.entries, spectral_map(aux.a_tilde, aux._complement).entries)
+    assert np.allclose(aux._complement, 1.0 - mu, rtol=0.0, atol=1e-14)
 
 
 def _block_pair(calls):
@@ -146,20 +166,30 @@ def _block_pair(calls):
 def test_functional_decompose_eigensolve_count(eigensolves):
     w, v = _block_pair(eigensolves)
     functional_decompose(w, v)
-    # eigh factors the sum and a_tilde, then clips each rebuilt density once;
-    # the induced Grams, sing and ac are positive by construction.  A 13-dim
-    # Gram kron(I_2, rho_1^T) + kron(I_3, rho_2^T) is solved as its five
-    # decoupled blocks (2, 2, 3, 3, 3), and so is a_tilde; of the densities,
-    # ac on block 1 (2) and sing on block 2 (3) are dense, while sing on
-    # block 1 and ac on block 2 are exactly zero, one call per diagonal entry
-    assert _tally(eigensolves) == {("eigh", 2): 2 + 2 + 1, ("eigh", 3): 3 + 3 + 1,
-                                   ("eigh", 1): 2 + 3}
+    # the induced Grams keep their densities' factorizations, so the root
+    # factors need no eigensolve; the 15 x 13 stack [X Y]* splits into the
+    # Gram's five decoupled groups, 3 x 2 on block 1's two (X has 2 columns
+    # there, Y 1) and 3 x 3 on block 2's three (X 1, Y 2), and the 13 x 7
+    # block V_X* into 2 x 2 twice and 3 x 1 three times; then eigh clips each
+    # rebuilt density once.  ac on both blocks and sing on block 2 are dense
+    # (ac on block 2 is round-off of size eps^2 ||C||, where the part is
+    # zero), while sing on block 1 is exactly zero, one call per diagonal
+    # entry; sing and ac are positive by construction
+    assert _tally(eigensolves) == {("svd", 3): 2 + 3 + 3, ("svd", 2): 2,
+                                   ("eigh", 2): 1, ("eigh", 3): 2, ("eigh", 1): 2}
 
 
 def test_induced_form_runs_no_eigensolve(eigensolves):
+    # the Gram keeps the factorization its densities hold, so neither
+    # building it nor reading its spectrum runs a solver
     w, _ = _block_pair(eigensolves)
-    induced_form(w)
+    gram = induced_form(w).gram
+    dec = eig_hermitian(gram)
     assert eigensolves == []
+    fresh = np.sort(np.linalg.eigvalsh(gram.entries))[::-1]
+    assert np.allclose(dec.eigenvalues, fresh, rtol=0.0, atol=1e-12 * gram.norm)
+    rebuilt = (dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T
+    assert np.allclose(rebuilt, gram.entries, rtol=0.0, atol=1e-12 * gram.norm)
 
 
 def test_gns_eigensolve_count(eigensolves):
@@ -196,32 +226,6 @@ def test_kept_spectrum_equals_a_fresh_factorization(eigensolves):
     order = np.argsort(-w, kind="stable")
     assert np.array_equal(dec.eigenvalues, w[order])
     assert np.array_equal(dec.vectors, v[:, order])
-
-
-@pytest.mark.parametrize("k", [1, 7, 40])
-def test_power_of_two_scaling_inherits_the_spectrum(eigensolves, k):
-    m = random_psd(np.random.default_rng(2), 9, rank=6)
-    base = eig_hermitian(m)
-    eigensolves.clear()
-    scaled = (2.0**k) * m
-    dec = eig_hermitian(scaled)
-    assert eigensolves == []
-    assert np.array_equal(scaled.entries, (2.0**k) * m.entries)
-    assert np.array_equal(dec.eigenvalues, (2.0**k) * base.eigenvalues)
-    assert dec.vectors is base.vectors
-    w = np.sort(np.linalg.eigvalsh(scaled.entries))[::-1]
-    assert np.allclose(dec.eigenvalues, w, rtol=0.0, atol=1e-12 * scaled.norm)
-
-
-@pytest.mark.parametrize("scalar", [3.0, 0.5])
-def test_other_scalars_take_the_full_validation_path(eigensolves, scalar):
-    m = random_psd(np.random.default_rng(3), 9, rank=6)
-    eig_hermitian(m)
-    eigensolves.clear()
-    scaled = scalar * m
-    assert _tally(eigensolves) == {("eigh", 9): 1}
-    eig_hermitian(scaled)
-    assert _tally(eigensolves) == {("eigh", 9): 1}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
