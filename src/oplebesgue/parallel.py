@@ -66,36 +66,46 @@ def _nearest_in_order_interval(h: np.ndarray, upper: np.ndarray, noise: float,
     round-off - the sums' rounding (``clip_psd_with_floor``).  The round
     stops on that certificate; only when it falls short does one
     ``eigvalsh`` of X decide, as it did in every round before.
+
+    ``h`` may be given as the leading k x k block of a matrix that is zero
+    elsewhere.  It is lifted into ``upper``'s shape, and the first round's
+    PSD projection factors only that block: the projection of the lifted
+    matrix is the lifted projection of the block.
     """
-    if h.shape[0] == 0:
-        return h, h
+    n, k = upper.shape[0], h.shape[0]
+    if n == 0:
+        return upper, upper
     eps = np.finfo(float).eps
     scale = _frobenius(upper)
     stop = 1e-13 * scale
     # a certificate accepted in place of the smallest eigenvalue must also
     # clear the slack tested below
     certified = min(stop, tol.psd_slack * scale)
-    x = h
-    p = np.zeros_like(h)
-    q = np.zeros_like(h)
+    start = np.pad(h, (0, n - k))
+    x = start
+    p = np.zeros_like(upper)
+    q = np.zeros_like(upper)
+    block = h
     for _ in range(100):
-        y = clip_psd(x + p, np.inf, tol, context)
-        p = x + p - y.entries
-        complement, floor = clip_psd_with_floor(upper - (y.entries + q), tol)
+        y = clip_psd(block, np.inf, tol, context)
+        y_entries = y.entries if y.dim == n else np.pad(y.entries, (0, n - k))
+        p = x + p - y_entries
+        complement, floor = clip_psd_with_floor(upper - (y_entries + q), tol)
         x = upper - complement.entries
         q_norm = _frobenius(q)
-        q = y.entries + q - x
+        q = y_entries + q - x
         # the three sums round by at most eps/2 times their operands' norms
-        low = (floor - q_norm - gram_roundoff(h.shape[0], y.trace)
+        low = (floor - q_norm - gram_roundoff(n, y.trace)
                - eps * (scale + y.norm + q_norm + complement.norm))
         if low >= -certified:
             break
         low = float(_eigvalsh(x)[0])
         if low >= -stop:
             break
+        block = x + p
     if low < -tol.psd_slack * scale:
         raise NumericalError(f"{context} did not settle above zero ({low:.3e})", residual=-low)
-    moved = _frobenius(x - h)
+    moved = _frobenius(x - start)
     if moved > noise:
         raise NumericalError(
             f"{context} violated its order bounds beyond round-off ({moved:.3e})",
@@ -111,40 +121,47 @@ def _rotated(u: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _kernel_split_parallel_sum(lam: np.ndarray, st: np.ndarray, small_norm: float, tol: Tolerances,
-                        on_range: bool = False) -> tuple[np.ndarray, float]:
-    """(T, inverse): T = S - S (D + S)^+ S as its Hermitian part, in a basis
-    that splits the large operand D into its kept eigenvalues ``lam`` (D =
-    diag(lam) on the leading block) and its kernel (D = 0).
+                               on_range: bool = False,
+                               nonsingular: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """(T, w): T = S - S (D + S)^+ S as its Hermitian part, in a basis that
+    splits the large operand D into its kept eigenvalues ``lam`` (D =
+    diag(lam) on the leading block) and its kernel (D = 0); w holds the
+    eigenvalues, descending, of the clipped Schur complement below.
 
     ``st`` is the small operand S in that basis, of norm ``small_norm``, with
     blocks S11 (kept x kept), S10 (kept x kernel) and S00 (kernel x kernel).
     The kept block is inverted by a well-conditioned solve against h =
     diag(lam) + S11, and the kernel block through the Schur complement
     Sigma = S00 - S10* h^-1 S10, which lives entirely at the small scale.
-    When Sigma's pseudoinverse keeps every eigenvalue, D + S is invertible
-    and T = D - D (D + S)^-1 D vanishes outside the kept block; with
-    ``on_range`` only that block of T is then formed.  ``inverse`` is
-    max(1 / min lam, 1 / sigma), sigma the smallest kept eigenvalue of
-    Sigma: a bound on the norm of diag(h^-1, Sigma^+), since h >= diag(lam).
+    Sigma is clipped and pseudo-inverted against ||S||.  When that keeps
+    every eigenvalue, D + S is invertible and T = D - D (D + S)^-1 D
+    vanishes outside the kept block; with ``on_range`` only that block of T
+    is then formed.  With ``nonsingular`` the caller has certified that
+    Sigma's clip and pseudoinverse would keep every eigenvalue (see
+    ``ando_ac_part``): Sigma is solved against directly, with no eigensolve
+    and no clip, only T's kept block is formed, and w is None.
     """
     r = lam.size
     s1, s0 = st[:r], st[r:]
     h = np.diag(lam) + s1[:, :r]
     hinv_f = np.linalg.solve(h, s1[:, r:])
-    schur = clip_psd(s0[:, r:] - s1[:, r:].conj().T @ hinv_f,
-                     roundoff(st.shape[0], small_norm), tol, "Schur complement")
-    # Its rank is decided against ||S||: when S lies in the large operand's
-    # range the complement is round-off, which its own largest eigenvalue
-    # would keep.
-    schur_pinv = pinv(schur, tol, reference=small_norm).entries
-    w = eig_hermitian(schur, tol).eigenvalues
-    kept = w[tol.support(w, small_norm)]
-    cols = r if on_range and kept.size == w.size else st.shape[0]
-    z0 = schur_pinv @ (s0[:, :cols] - hinv_f.conj().T @ s1[:, :cols])
+    schur = s0[:, r:] - s1[:, r:].conj().T @ hinv_f
+    if nonsingular:
+        w, cols = None, r
+        z0 = np.linalg.solve(schur / 2.0 + schur.conj().T / 2.0,
+                             s0[:, :r] - hinv_f.conj().T @ s1[:, :r])
+    else:
+        clipped = clip_psd(schur, roundoff(st.shape[0], small_norm), tol, "Schur complement")
+        # Its rank is decided against ||S||: when S lies in the large
+        # operand's range the complement is round-off, which its own largest
+        # eigenvalue would keep.
+        schur_pinv = pinv(clipped, tol, reference=small_norm).entries
+        w = eig_hermitian(clipped, tol).eigenvalues
+        cols = r if on_range and tol.support(w, small_norm).all() else st.shape[0]
+        z0 = schur_pinv @ (s0[:, :cols] - hinv_f.conj().T @ s1[:, :cols])
     z1 = np.linalg.solve(h, s1[:, :cols] - s1[:, r:] @ z0)
     t = st[:cols, :cols] - s1[:, :cols].conj().T @ z1 - s0[:, :cols].conj().T @ z0
-    inverse = max(1.0 / lam[-1] if r else 0.0, 1.0 / kept[-1] if kept.size else 0.0)
-    return t / 2.0 + t.conj().T / 2.0, inverse
+    return t / 2.0 + t.conj().T / 2.0, w
 
 
 def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
@@ -178,8 +195,10 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     big, small = (a, b) if a.norm >= b.norm else (b, a)
     dec = eig_hermitian(big, tol)
     lam = dec.eigenvalues[tol.support(dec.eigenvalues)]
-    t, inverse = _kernel_split_parallel_sum(lam, _rotated(dec.vectors, small.entries), small.norm, tol,
-                                     on_range=True)
+    t, w = _kernel_split_parallel_sum(lam, _rotated(dec.vectors, small.entries), small.norm, tol,
+                                      on_range=True)
+    kept = w[tol.support(w, small.norm)]
+    inverse = max(1.0 / lam[-1] if lam.size else 0.0, 1.0 / kept[-1] if kept.size else 0.0)
     noise = roundoff(a.dim, a.norm + b.norm + small.norm + small.norm**2 * inverse)
     return clip_psd_in_eigenbasis(t, big, noise, tol, "parallel sum")
 
@@ -302,11 +321,25 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     the settle's clipped complement Bt - limit, the singular part.  A
     reference with no kept eigenvalue makes every term zero.
 
+    One Schur complement per schedule.  h_k = 2^k Lam + Bt11 >= h_0 > 0, so
+    the Schur complement on ker A, Sigma_k = Bt00 - Bt10* h_k^-1 Bt10, has
+    Sigma_0 <= Sigma_k <= Bt00.  A computed Sigma_k is within e =
+    roundoff(n, ||B||) of the exact one (its clip's allowance), so if the
+    smallest eigenvalue sigma of the computed Sigma_0, which the first term
+    factors, has sigma - 2 e > rank_rtol (||B|| + e), no Sigma_k's clip or
+    pseudoinverse would drop an eigenvalue.  Such a schedule is certified:
+    each later term solves against its Sigma_k, with no eigensolve, and since
+    T_k then vanishes off ran A (Anderson & Trapp 1975: ran(A : B) lies in
+    ran A), every term is formed and extrapolated as its r x r kept block.
+    The settle lifts the limit with zeros on ker A and projects only the
+    block first.  Otherwise, as when A + B is singular and Sigma drops
+    sub-cutoff mass that belongs in ac, every term is the full n x n product.
+
     ``(tA) : B`` is a rational function of s = 1/t, analytic at 0, so the
     terms expand as T_k = L + c_1 2^-k + c_2 4^-k + ...  Romberg's table
     (Romberg 1955) cancels those error terms order by order; one row of it
-    is kept and updated in place, so at most ``terms_used`` n x n arrays are
-    live.  The schedule stops at the first of two rules, each with stopping
+    is kept and updated in place, so at most ``terms_used`` arrays are live.
+    The schedule stops at the first of two rules, each with stopping
     threshold ``iter_tol * trace B``:
 
     - two consecutive changes of the table's diagonal, ||R[k][k] -
@@ -333,12 +366,18 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     lam = dec.eigenvalues[keep]
     u = dec.vectors
     bt = _rotated(u, b.entries)
+    current, w = _kernel_split_parallel_sum(lam, bt, b.norm, tol)
+    # Sigma_k >= Sigma_0, so a margin on the first certifies the schedule
+    e = roundoff(b.dim, b.norm)
+    certified = bool(np.all(w - 2.0 * e > tol.rank_rtol * (b.norm + e)))
+    if certified:
+        current = current[:lam.size, :lam.size]
 
     def term(k: int) -> np.ndarray:
-        return _kernel_split_parallel_sum((2.0**k) * lam, bt, b.norm, tol)[0]
+        return _kernel_split_parallel_sum((2.0**k) * lam, bt, b.norm, tol,
+                                          nonsingular=certified)[0]
 
     threshold = tol.iter_tol * b.trace
-    current = term(0)
     terms = 1
     increment = 0.0
     converged = False

@@ -67,12 +67,14 @@ def test_ando_eigensolve_count(eigensolves):
     # Romberg diagonal meets it twice in a row after 15 terms, where the
     # plain trace increments need 37
     assert result.converged and result.terms_used == 15
-    # A has rank 8 and keeps the factorization it was validated on; each
-    # term's only eigensolve is the clip of its Schur complement on the 4-dim
-    # kernel of A; the two size-12 eighs are the settling round's
-    # projections, and the second one's spectrum certifies the settled
+    # A has rank 8 and keeps the factorization it was validated on.  The
+    # first term factors its Schur complement on the 4-dim kernel of A, whose
+    # smallest eigenvalue certifies every later one, so the other 14 terms
+    # solve against theirs with no eigensolve and form only the 8 x 8 kept
+    # block.  The settling round clips that block (size 8) and the full
+    # complement B - limit (size 12), whose spectrum certifies the settled
     # limit, so no eigvalsh runs
-    assert _tally(eigensolves) == {("eigh", 12): 2, ("eigh", 4): 15}
+    assert _tally(eigensolves) == {("eigh", 4): 1, ("eigh", 8): 1, ("eigh", 12): 1}
 
 
 def test_ando_singular_part_needs_no_eigensolve(eigensolves):

@@ -13,7 +13,7 @@ import functools
 import numpy as np
 import pytest
 
-from oplebesgue import Tolerances, ando_ac_part, arlinskii_iterate, direct_decompose
+from oplebesgue import Tolerances, ando_ac_part, arlinskii_iterate, direct_decompose, parallel
 
 from helpers import anderson_trapp_ac, random_psd
 
@@ -73,3 +73,23 @@ def test_direct_is_near_the_oracle_or_flagged(dim, exponent, index):
     a, b, oracle = _draw(dim, exponent, index)
     result = direct_decompose(a, b, _TOL)
     _assert_near_oracle_or_flagged(result.ac, result.converged, b, oracle)
+
+
+def test_certified_doubling_limit_settles_in_one_round(monkeypatch):
+    # A + B is invertible, so the schedule is certified and its limit is
+    # formed on ran A alone: lifted with exact zeros on ker A, it has no
+    # round-off there for the settle to remove.  The full 128 x 128 limit
+    # took 50 Dykstra rounds, 9.4e-11 * ||B|| off the oracle
+    a, b, oracle = _draw(128, 8, 0)
+    rounds = []
+    real = parallel.clip_psd_with_floor
+
+    def counted(h, tol):
+        rounds.append(h.shape)
+        return real(h, tol)
+
+    monkeypatch.setattr(parallel, "clip_psd_with_floor", counted)
+    result = ando_ac_part(a, b, _TOL)
+    assert result.converged
+    assert rounds == [(128, 128)]
+    assert np.linalg.norm(result.ac_part.entries - oracle) <= 1e-9 * b.norm

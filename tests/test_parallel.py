@@ -1,5 +1,7 @@
 """Parallel sum: closed form, variational oracle, doubling limit, spectral shortcut."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from oplebesgue import (
     variational_value,
 )
 from oplebesgue import eig_hermitian, parallel
+from oplebesgue.core import roundoff
 from oplebesgue.lebesgue import arlinskii_iterate
 
 from helpers import (
@@ -22,6 +25,7 @@ from helpers import (
     random_contraction,
     random_pair,
     random_psd,
+    random_unitary,
     schur_parallel_sum,
 )
 
@@ -255,8 +259,8 @@ def test_unsettled_doubling_limit_is_a_named_failure():
     assert info.value.residual > 0.0
 
 
-@pytest.mark.parametrize("draw, rounds", [((5, 0, 1e3), 1), (([31, 6], 21, 1e6), 2),
-                                          (([31, 8], 28, 1e8), 22)])
+@pytest.mark.parametrize("draw, rounds", [((5, 0, 1e3), 1), (([31, 8], 5, 1e8), 2),
+                                          (([31, 10], 23, 1e10), 26)])
 def test_settle_without_its_certificate_ends_bitwise_the_same(monkeypatch, draw, rounds):
     # with every certificate refused, each settling round runs the exact
     # eigvalsh, and the settled limit and its complement come out bitwise
@@ -290,6 +294,62 @@ def test_settle_without_its_certificate_ends_bitwise_the_same(monkeypatch, draw,
     assert np.array_equal(exact.ac_part.entries, certified.ac_part.entries)
     assert np.array_equal(exact.sing_part.entries, certified.sing_part.entries)
     assert (exact.terms_used, exact.converged) == (certified.terms_used, certified.converged)
+
+
+def _refuse_the_schedule_certificate(monkeypatch, b):
+    """Inflate the round-off bound at the scale ||B||, which only the Schur
+    complement's clip and the schedule's certificate read: no doubling
+    schedule on B is then certified, and the clip's allowance only widens."""
+    real = parallel.roundoff
+    monkeypatch.setattr(parallel, "roundoff",
+                        lambda dim, scale: 1e6 * scale if scale == b.norm else real(dim, scale))
+
+
+def test_uncertified_schedule_factors_every_schur_complement(monkeypatch, eigensolves):
+    # A + B is invertible, so the first term's Schur complement on the 4-dim
+    # kernel of A certifies the schedule (one eigh of size 4 in all); with
+    # the certificate refused, every term factors its own, forms the full
+    # 12 x 12 product, and the settle clips two dense 12 x 12 matrices.  The
+    # limit is the same up to round-off
+    rng = np.random.default_rng(5)
+    a, b = random_psd(rng, 12, rank=8), random_psd(rng, 12, rank=10)
+    eigensolves.clear()
+    certified = ando_ac_part(a, b)
+    assert [h.shape[0] for _, h in eigensolves] == [4, 8, 12]
+    eigensolves.clear()
+    _refuse_the_schedule_certificate(monkeypatch, b)
+    checked = ando_ac_part(a, b)
+    assert (checked.terms_used, checked.converged) == (certified.terms_used, certified.converged)
+    tally = Counter(h.shape[0] for _, h in eigensolves)
+    assert tally == {4: checked.terms_used, 12: 2}
+    for got, want in ((checked.ac_part, certified.ac_part),
+                      (checked.sing_part, certified.sing_part)):
+        assert np.linalg.norm(got.entries - want.entries) <= roundoff(b.dim, b.norm)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_singular_sum_runs_the_full_schedule(monkeypatch, eigensolves, seed):
+    # ran B lies in a 9-dim space that holds the 6-dim ran A, so A + B is
+    # singular and every Schur complement on the 6-dim ker A has rank at most
+    # 3: no schedule is certified.  Every term factors its own Sigma_k, and
+    # the outputs are bitwise those with the certificate refused
+    rng = np.random.default_rng([41, seed])
+    u = random_unitary(rng, 12)
+    a = PsdMatrix((u[:, :6] * rng.uniform(0.5, 2.0, 6)) @ u[:, :6].conj().T)
+    z = u[:, :9] @ (rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5)))
+    b = PsdMatrix(z @ z.conj().T)
+    eigensolves.clear()
+    natural = ando_ac_part(a, b)
+    assert natural.converged
+    assert Counter(h.shape[0] for _, h in eigensolves) == {6: natural.terms_used, 12: 2}
+    error = np.linalg.norm(natural.ac_part.entries - anderson_trapp_ac(a.entries, b.entries))
+    assert error <= 1e-12 * b.norm
+    _refuse_the_schedule_certificate(monkeypatch, b)
+    refused = ando_ac_part(a, b)
+    assert np.array_equal(natural.ac_part.entries, refused.ac_part.entries)
+    assert np.array_equal(natural.sing_part.entries, refused.sing_part.entries)
+    assert (natural.terms_used, natural.final_increment) == (refused.terms_used,
+                                                             refused.final_increment)
 
 
 def test_rank_ambiguous_pair_settles_near_iterate():
