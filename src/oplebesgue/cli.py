@@ -34,7 +34,6 @@ from .lebesgue import (
     singularity_threshold,
 )
 from .parallel import parallel_sum
-from . import selftest as selftest_suite
 from .serialize import (
     FormPairProblem,
     OperatorPairProblem,
@@ -295,6 +294,9 @@ def _cmd_check(args, problem, tol, digest):
 
 
 def _cmd_selftest(args):
+    # imported here, so that no other command loads the fixture suite
+    from . import selftest as selftest_suite
+
     raw = selftest_suite.fixtures_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     tol = _cli_tolerances(args, DEFAULT_TOL)

@@ -146,9 +146,9 @@ def arlinskii_iterate(
     to A; stopping uses trace(B_n - B_{n+1}) <= iter_tol * trace B.  They lie
     below B, so on M = ran B, where X : A = X_M : S_M(A) with the short
     S_M(A) = U F F* U* of A to M (``_range_compression``): the iteration
-    starts from diag(lam) against Y = F F*.  The thin SVD
-    [diag(lam)^(1/2), F] = P S Q* gives diag(lam) = G (I - Yc) G* and
-    Y = G Yc G* for G = P S, with the contraction Yc = Q_F* Q_F = W diag(y) W*
+    starts from diag(lam) against Y = F F*.  The thin QR
+    [diag(lam)^(1/2), F]* = Q R gives diag(lam) = G (I - Yc) G* and
+    Y = G Yc G* for G = R*, with the contraction Yc = Q_F* Q_F = W diag(y) W*
     (Q_F the rows of Q that belong to F).  Congruence by the invertible G
     commutes with parallel sums and every iterate is a function of Yc, so
     the n-th iterate is exactly H diag(g_n) H* with H = U G W, g_0 = 1 - y
@@ -166,11 +166,12 @@ def arlinskii_iterate(
     if a.norm == 0.0:
         return LebesgueDecomposition(PsdMatrix.zero(b.dim), b, Method.ITERATE, 0, 0.0, True)
     u, lam, factor = _range_compression(a, b, tol)
-    p, s, qh = _svd(np.hstack([np.diag(np.sqrt(lam)), factor]), False)
+    q, r = np.linalg.qr(np.hstack([np.diag(np.sqrt(lam)), factor]).conj().T)
     # Q_F* = W diag(sqrt y) V*, with W square so that y is padded by zeros
-    w, root_y, _ = _svd(qh[:, lam.size:], True)
+    w, root_y, _ = _svd(q[lam.size:].conj().T, True)
     y = np.clip(np.pad(root_y**2, (0, lam.size - root_y.size)), 0.0, 1.0)
-    h = u @ (p * s) @ w
+    gw = r.conj().T @ w
+    h = u @ gw
     weight = np.sum(np.abs(h) ** 2, axis=0)
     # B's round-off may leave tr B slightly negative; no increment reaches a
     # negative threshold
@@ -186,7 +187,7 @@ def arlinskii_iterate(
             break
     sing = psd_by_construction((h * g) @ h.conj().T, tol)
     noise = tol.psd_slack * (a.norm + b.norm)
-    if _limit_floor(b, lam, (p * s) @ w, y, g, weight, sing) >= -noise:
+    if _limit_floor(b, lam, gw, y, g, weight, sing) >= -noise:
         ac = psd_by_construction(b.entries - sing.entries, tol)
     else:
         # the certificate fell short (its round-off term grows with n): the
@@ -212,8 +213,9 @@ def _limit_floor(b: PsdMatrix, lam: np.ndarray, gw: np.ndarray, y: np.ndarray, g
     diag(1 - y) GW*||_F (1 + ortho) + sum_i min(1 - y - g, 0)_i weight_i
     - roundoff(n, ||B|| + ||sing||), with ortho = ||U0* U0 - I||_F.  The first
     bracket holds only B's eigenvalues under the cutoff; the third term is
-    the two SVDs' consistency, one r x r product (r = rank B); the fourth is
-    zero in exact arithmetic, where g decreases from 1 - y.
+    the consistency of the QR (G = R*) and the SVD of Q_F*, one r x r product
+    (r = rank B); the fourth is zero in exact arithmetic, where g decreases
+    from 1 - y.
     """
     factored = b._factorization()
     lowest = float(factored.dec.eigenvalues[-1])

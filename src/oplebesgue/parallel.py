@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,9 @@ __all__ = [
 # Doubling schedule cap for the increasing limit of (2^k A) : B.
 ANDO_MAX_DOUBLINGS = 40
 
-# Bound on the absolute sum of the Richardson weights by which a diagonal
-# entry of Romberg's table combines the doubling terms: each column step
-# grows it by (2^m + 1) / (2^m - 1), and the product over all m is 8.26.
+# Bound on the absolute sum of a row of `_richardson_weights`, by which a
+# diagonal entry of Romberg's table combines the doubling terms: each column
+# step grows it by (2^m + 1) / (2^m - 1), and the product over all m is 8.26.
 _ROMBERG_GROWTH = 8.3
 
 # Cap on conjugate-gradient steps per dimension in `variational_value`.  In
@@ -120,48 +121,71 @@ def _rotated(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     return mt / 2.0 + mt.conj().T / 2.0
 
 
+def _kernel_split_schur(lam: np.ndarray, st: np.ndarray, small_norm: float,
+                        tol: Tolerances) -> tuple[np.ndarray, PsdMatrix]:
+    """(h^-1 S10, Sigma clipped): the kernel split's one factorization.
+
+    ``st`` is the small operand S in a basis that splits the large operand D
+    into its kept eigenvalues ``lam`` (D = diag(lam) on the leading block)
+    and its kernel (D = 0), of norm ``small_norm``, with blocks S11 (kept x
+    kept), S10 (kept x kernel) and S00 (kernel x kernel).  The kept block is
+    solved against h = diag(lam) + S11, well conditioned, and the Schur
+    complement Sigma = S00 - S10* h^-1 S10, which lives entirely at the
+    small scale, is clipped PSD against ||S||: one eigensolve, which the
+    clipped matrix keeps.
+    """
+    r = lam.size
+    hinv_f = np.linalg.solve(np.diag(lam) + st[:r, :r], st[:r, r:])
+    schur = st[r:, r:] - st[:r, r:].conj().T @ hinv_f
+    return hinv_f, clip_psd(schur, roundoff(st.shape[0], small_norm), tol, "Schur complement")
+
+
 def _kernel_split_parallel_sum(lam: np.ndarray, st: np.ndarray, small_norm: float, tol: Tolerances,
                                on_range: bool = False,
-                               nonsingular: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """(T, w): T = S - S (D + S)^+ S as its Hermitian part, in a basis that
-    splits the large operand D into its kept eigenvalues ``lam`` (D =
-    diag(lam) on the leading block) and its kernel (D = 0); w holds the
-    eigenvalues, descending, of the clipped Schur complement below.
+                               split: tuple[np.ndarray, PsdMatrix] | None = None,
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """(T, w): T = S - S (D + S)^+ S as its Hermitian part, in the basis of
+    ``_kernel_split_schur``, whose output ``split`` is computed here unless
+    given; w holds the eigenvalues, descending, of the clipped Schur
+    complement Sigma.
 
-    ``st`` is the small operand S in that basis, of norm ``small_norm``, with
-    blocks S11 (kept x kept), S10 (kept x kernel) and S00 (kernel x kernel).
-    The kept block is inverted by a well-conditioned solve against h =
-    diag(lam) + S11, and the kernel block through the Schur complement
-    Sigma = S00 - S10* h^-1 S10, which lives entirely at the small scale.
-    Sigma is clipped and pseudo-inverted against ||S||.  When that keeps
-    every eigenvalue, D + S is invertible and T = D - D (D + S)^-1 D
+    The kernel block is inverted through Sigma's pseudoinverse, its rank
+    decided against ||S||: when S lies in the large operand's range Sigma
+    is round-off, which its own largest eigenvalue would keep.  When that
+    keeps every eigenvalue, D + S is invertible and T = D - D (D + S)^-1 D
     vanishes outside the kept block; with ``on_range`` only that block of T
-    is then formed.  With ``nonsingular`` the caller has certified that
-    Sigma's clip and pseudoinverse would keep every eigenvalue (see
-    ``ando_ac_part``): Sigma is solved against directly, with no eigensolve
-    and no clip, only T's kept block is formed, and w is None.
+    is then formed.
     """
     r = lam.size
     s1, s0 = st[:r], st[r:]
-    h = np.diag(lam) + s1[:, :r]
-    hinv_f = np.linalg.solve(h, s1[:, r:])
-    schur = s0[:, r:] - s1[:, r:].conj().T @ hinv_f
-    if nonsingular:
-        w, cols = None, r
-        z0 = np.linalg.solve(schur / 2.0 + schur.conj().T / 2.0,
-                             s0[:, :r] - hinv_f.conj().T @ s1[:, :r])
-    else:
-        clipped = clip_psd(schur, roundoff(st.shape[0], small_norm), tol, "Schur complement")
-        # Its rank is decided against ||S||: when S lies in the large
-        # operand's range the complement is round-off, which its own largest
-        # eigenvalue would keep.
-        schur_pinv = pinv(clipped, tol, reference=small_norm).entries
-        w = eig_hermitian(clipped, tol).eigenvalues
-        cols = r if on_range and tol.support(w, small_norm).all() else st.shape[0]
-        z0 = schur_pinv @ (s0[:, :cols] - hinv_f.conj().T @ s1[:, :cols])
-    z1 = np.linalg.solve(h, s1[:, :cols] - s1[:, r:] @ z0)
+    hinv_f, clipped = split if split is not None else _kernel_split_schur(lam, st, small_norm, tol)
+    schur_pinv = pinv(clipped, tol, reference=small_norm).entries
+    w = eig_hermitian(clipped, tol).eigenvalues
+    cols = r if on_range and tol.support(w, small_norm).all() else st.shape[0]
+    z0 = schur_pinv @ (s0[:, :cols] - hinv_f.conj().T @ s1[:, :cols])
+    z1 = np.linalg.solve(np.diag(lam) + s1[:, :r], s1[:, :cols] - s1[:, r:] @ z0)
     t = st[:cols, :cols] - s1[:, :cols].conj().T @ z1 - s0[:, :cols].conj().T @ z0
     return t / 2.0 + t.conj().T / 2.0, w
+
+
+def _nonsingular_kept_term(lam: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """The kept block of T = S - S (D + S)^-1 S, in the basis of
+    ``_kernel_split_schur``, when the caller has certified that Sigma's clip
+    and pseudoinverse would keep every eigenvalue (see ``ando_ac_part``).
+
+    One LU of h gives [h^-1 S11 | h^-1 S10] from [S11 | S10], one of Sigma
+    gives z0 = Sigma^-1 (S01 - S10* h^-1 S11), and then z1 = h^-1 S11 -
+    h^-1 S10 z0 and T11 = S11 - S11 z1 - S10 z0: no eigensolve, no clip.
+    """
+    r = lam.size
+    s1, s0 = st[:r], st[r:]
+    solved = np.linalg.solve(np.diag(lam) + s1[:, :r], s1)
+    hinv_s, hinv_f = solved[:, :r], solved[:, r:]
+    schur = s0[:, r:] - s1[:, r:].conj().T @ hinv_f
+    z0 = np.linalg.solve(schur / 2.0 + schur.conj().T / 2.0,
+                         s0[:, :r] - hinv_f.conj().T @ s1[:, :r])
+    t = s1[:, :r] - s1[:, :r].conj().T @ (hinv_s - hinv_f @ z0) - s0[:, :r].conj().T @ z0
+    return t / 2.0 + t.conj().T / 2.0
 
 
 def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
@@ -294,18 +318,34 @@ class AndoLimitResult:
     sing_part: PsdMatrix
 
 
-def _romberg_update(row: list[np.ndarray], term: np.ndarray) -> None:
-    """Advance one row of Romberg's table in place by the next doubling term.
+@functools.cache
+def _richardson_weights() -> np.ndarray:
+    """Row k: the weights by which Romberg's diagonal entry R[k][k] combines
+    the doubling terms T_0..T_k, zero past k, for k up to the cap.
 
-    ``row`` holds R[k-1][0..k-1] and becomes R[k][0..k], with R[k][0] = T_k
-    and R[k][m] = (2^m R[k][m-1] - R[k-1][m-1]) / (2^m - 1).  Column m
-    cancels the 2^(-mk) term of T_k's expansion about its limit.
+    Romberg's table, R[k][0] = T_k and R[k][m] = (2^m R[k][m-1] -
+    R[k-1][m-1]) / (2^m - 1), is Neville's scheme for the polynomial in x
+    through the points (2^-j, T_j), evaluated at x = 0.  So its diagonal is
+    the Lagrange extrapolation R[k][k] = sum_j T_j prod_{i <= k, i != j}
+    1 / (1 - 2^(i - j)).  Each row sums to one, and is scaled to do so in
+    floating point: the terms are close to their limit L, so a row's sum
+    error would move the combination by that error times L.
     """
-    carry = term
-    for m, older in enumerate(row):
-        row[m] = carry
-        carry = (2.0 ** (m + 1) * carry - older) / (2.0 ** (m + 1) - 1.0)
-    row.append(carry)
+    i = np.arange(ANDO_MAX_DOUBLINGS + 1)
+    step = i[:, None] - i[None, :]
+    factors = np.divide(1.0, 1.0 - 2.0**step, out=np.ones(step.shape), where=step != 0)
+    weights = np.tril(np.cumprod(factors, axis=0))
+    weights /= weights.sum(axis=1, keepdims=True)
+    weights.flags.writeable = False
+    return weights
+
+
+def _combine(weights: np.ndarray, terms: list[np.ndarray]) -> np.ndarray:
+    """sum_j weights[j] terms[j] over the stored terms."""
+    total = weights[0] * terms[0]
+    for weight, term in zip(weights[1:len(terms)], terms[1:]):
+        total += weight * term
+    return total
 
 
 def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> AndoLimitResult:
@@ -325,20 +365,26 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     the Schur complement on ker A, Sigma_k = Bt00 - Bt10* h_k^-1 Bt10, has
     Sigma_0 <= Sigma_k <= Bt00.  A computed Sigma_k is within e =
     roundoff(n, ||B||) of the exact one (its clip's allowance), so if the
-    smallest eigenvalue sigma of the computed Sigma_0, which the first term
-    factors, has sigma - 2 e > rank_rtol (||B|| + e), no Sigma_k's clip or
-    pseudoinverse would drop an eigenvalue.  Such a schedule is certified:
-    each later term solves against its Sigma_k, with no eigensolve, and since
-    T_k then vanishes off ran A (Anderson & Trapp 1975: ran(A : B) lies in
-    ran A), every term is formed and extrapolated as its r x r kept block.
+    smallest eigenvalue sigma of the computed Sigma_0, factored once before
+    the first term, has sigma - 2 e > rank_rtol (||B|| + e), no Sigma_k's
+    clip or pseudoinverse would drop an eigenvalue.  Such a schedule is
+    certified: every term, the first included, takes one LU of h_k and one
+    of Sigma_k, with no eigensolve, and since T_k then vanishes off ran A
+    (Anderson & Trapp 1975: ran(A : B) lies in ran A), every term is formed
+    and extrapolated as its r x r kept block (``_nonsingular_kept_term``).
     The settle lifts the limit with zeros on ker A and projects only the
     block first.  Otherwise, as when A + B is singular and Sigma drops
-    sub-cutoff mass that belongs in ac, every term is the full n x n product.
+    sub-cutoff mass that belongs in ac, every term is the full n x n product
+    of ``_kernel_split_parallel_sum``, the first one on Sigma_0's
+    factorization.
 
     ``(tA) : B`` is a rational function of s = 1/t, analytic at 0, so the
     terms expand as T_k = L + c_1 2^-k + c_2 4^-k + ...  Romberg's table
-    (Romberg 1955) cancels those error terms order by order; one row of it
-    is kept and updated in place, so at most ``terms_used`` arrays are live.
+    (Romberg 1955) cancels those error terms order by order.  Only its
+    diagonal is read, and R[k][k] is a fixed combination of T_0..T_k
+    (``_richardson_weights``), so the terms are stored, at most
+    ``terms_used`` arrays, and each change of the diagonal is the
+    combination by the difference of two weight rows.
     The schedule stops at the first of two rules, each with stopping
     threshold ``iter_tol * trace B``:
 
@@ -366,22 +412,25 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     lam = dec.eigenvalues[keep]
     u = dec.vectors
     bt = _rotated(u, b.entries)
-    current, w = _kernel_split_parallel_sum(lam, bt, b.norm, tol)
+    split = _kernel_split_schur(lam, bt, b.norm, tol)
     # Sigma_k >= Sigma_0, so a margin on the first certifies the schedule
     e = roundoff(b.dim, b.norm)
-    certified = bool(np.all(w - 2.0 * e > tol.rank_rtol * (b.norm + e)))
-    if certified:
-        current = current[:lam.size, :lam.size]
+    w = eig_hermitian(split[1], tol).eigenvalues
+    if np.all(w - 2.0 * e > tol.rank_rtol * (b.norm + e)):
+        def term(k: int) -> np.ndarray:
+            return _nonsingular_kept_term((2.0**k) * lam, bt)
 
-    def term(k: int) -> np.ndarray:
-        return _kernel_split_parallel_sum((2.0**k) * lam, bt, b.norm, tol,
-                                          nonsingular=certified)[0]
+        current = term(0)
+    else:
+        def term(k: int) -> np.ndarray:
+            return _kernel_split_parallel_sum((2.0**k) * lam, bt, b.norm, tol)[0]
+
+        current = _kernel_split_parallel_sum(lam, bt, b.norm, tol, split=split)[0]
 
     threshold = tol.iter_tol * b.trace
-    terms = 1
     increment = 0.0
     converged = False
-    row = [current]
+    terms = [current]
     change = np.inf
     extrapolated = None
     # Increments below the arithmetic resolution of a step carry no signal;
@@ -394,17 +443,17 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
             # the sequence is increasing, so a genuine drop certifies that the
             # scaled step degraded; keep the last clean term
             break
-        terms += 1
         increment = max(raw, 0.0)
         current = nxt
+        terms.append(current)
         if increment <= threshold:
             converged = True
             break
-        diagonal = row[-1]
-        _romberg_update(row, current)
-        previous_change, change = change, _frobenius(row[-1] - diagonal)
+        weights = _richardson_weights()
+        previous_change = change
+        change = _frobenius(_combine(weights[k] - weights[k - 1], terms))
         if max(previous_change, change) <= threshold:
-            converged, increment, extrapolated = True, change, row[-1]
+            converged, increment, extrapolated = True, change, _combine(weights[k], terms)
             break
         if increment <= step_noise:
             break
@@ -420,7 +469,7 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     settled, complement = _nearest_in_order_interval(limit, bt, budget, tol, "doubling limit")
     ac = u @ settled @ u.conj().T
     sing = u @ complement @ u.conj().T
-    return AndoLimitResult(psd_by_construction(ac, tol), terms, increment, converged,
+    return AndoLimitResult(psd_by_construction(ac, tol), len(terms), increment, converged,
                            psd_by_construction(sing, tol))
 
 

@@ -217,7 +217,7 @@ def test_form_psum_runs_one_parallel_sum(capsys, eigensolves):
     (("decompose",), {("eigh", 2): 2, ("eigh", 1): 17, ("svd", 4): 2, ("svd", 2): 2,
                       ("svd", 1): 1}),
     (("decompose", "--cross-check"), {("eigh", 2): 10, ("eigh", 1): 23, ("svd", 4): 2,
-                                      ("svd", 2): 6, ("svd", 1): 2}),
+                                      ("svd", 2): 4, ("svd", 1): 1, ("qr", 9): 1}),
 ], ids=["psum", "decompose", "cross-check"])
 def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolves, args,
                                                               expected):
@@ -231,6 +231,8 @@ def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolve
     # twice).  ando's doubling certifies its schedule on the one 1-dim Schur
     # complement of its first term, so its other 11 terms factor none, and
     # its settle clips only the 4-dim kept block, as two 2-dim blocks.
+    # iterate's congruence is one thin QR of the 9 x 5 stack [diag(lam)^(1/2),
+    # F]*, where an SVD took it in three blocks (2, 2 and 1).
     # Revalidating a direct sum, by eigh or eigvalsh, adds a call per block
     # of it and changes the tally
     code, _, _ = run_json(capsys, *args, str(DATA / "functional_pair.json"))
@@ -362,6 +364,14 @@ def test_selftest_missing_fixture_resource_exits_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "selftest")
     assert code == 2
     assert json.loads(err)["error"]["exit_code"] == 2
+
+
+def test_importing_the_cli_leaves_the_selftest_suite_unloaded():
+    # only the selftest command imports the fixture suite
+    probe = "import sys, oplebesgue.cli; print('oplebesgue.selftest' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_console_entry_point_runs():

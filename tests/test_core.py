@@ -346,6 +346,7 @@ def test_derived_difference_is_judged_against_its_noise(scale):
 
 def test_clip_keeps_the_clipped_spectrum_inside_the_noise(eigensolves):
     h = _hermitian_with_spectrum([2.0, 1.0, -1e-12])
+    eigensolves.clear()
     m = clip_psd(h, 1e-9, DEFAULT_TOL, "parallel sum")
     assert len(eigensolves) == 1
     dec = eig_hermitian(m)

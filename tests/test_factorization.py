@@ -128,13 +128,13 @@ def test_iterate_eigensolve_count(eigensolves):
     # B has rank 10, so the iteration runs on its range: B and A's root
     # factor come from the factorizations the inputs were validated on, with
     # no eigensolve; one SVD of the 2 x 8 rows of that factor off ran B (the
-    # short of A to ran B, F F* with F 10 x 6), one SVD of the 10 x 16 stack
-    # [diag(lam)^(1/2), F] and one of its 10 x 6 block Q_F*; the steps are a
-    # scalar recursion, and the final ac part is certified from B's
-    # factorization and the two SVDs, with no eigensolve
-    assert _tally(eigensolves) == {("svd", 2): 1, ("svd", 10): 2}
-    assert sorted(h.shape for name, h in eigensolves if name == "svd") == [
-        (2, 8), (10, 6), (10, 16)]
+    # short of A to ran B, F F* with F 10 x 6), one thin QR of the 16 x 10
+    # stack [diag(lam)^(1/2), F]* and one SVD of its 10 x 6 block Q_F*; the
+    # steps are a scalar recursion, and the final ac part is certified from
+    # B's factorization, the QR and the SVD, with no eigensolve
+    assert _tally(eigensolves) == {("svd", 2): 1, ("svd", 10): 1, ("qr", 16): 1}
+    assert sorted((name, h.shape) for name, h in eigensolves) == [
+        ("qr", (16, 10)), ("svd", (2, 8)), ("svd", (10, 6))]
 
 
 def test_b_tilde_is_built_on_first_use(eigensolves):
@@ -219,7 +219,9 @@ def test_ando_factors_the_reference_once_and_no_scaled_copy(eigensolves):
 
 def test_kept_spectrum_equals_a_fresh_factorization(eigensolves):
     # the constructor validates on the one eigh it keeps
-    m = random_psd(np.random.default_rng(1), 9, rank=6)
+    entries = random_psd(np.random.default_rng(1), 9, rank=6).entries
+    eigensolves.clear()
+    m = PsdMatrix(entries)
     assert _tally(eigensolves) == {("eigh", 9): 1}
     dec = eig_hermitian(m)
     assert eig_hermitian(m) is dec

@@ -215,22 +215,49 @@ def test_iterate_limit_falls_back_to_the_exact_check(monkeypatch, seed):
 
 
 def test_iterate_limit_above_b_is_a_named_failure(monkeypatch):
-    # G = P S scaled by 1.1 makes sing = H diag(g) H* exceed B by about a
-    # fifth of itself; the certificate sees it as the two SVDs disagreeing
-    # with B's spectrum and raises as the eigensolve did
+    # G = R* scaled by 1.1 makes sing = H diag(g) H* exceed B by about a
+    # fifth of itself; the certificate sees it as the QR disagreeing with
+    # B's spectrum and raises as the eigensolve did
     a, b = _rank_deficient_pair(0)
-    real = lebesgue._svd
+    real = np.linalg.qr
     calls = []
 
-    def inflated(m, full_matrices):
-        u, s, vh = real(m, full_matrices)
+    def inflated(m, *args, **kwargs):
+        q, r = real(m, *args, **kwargs)
         calls.append(m.shape)
-        return (u, 1.1 * s, vh) if len(calls) == 2 else (u, s, vh)
+        return q, 1.1 * r
 
-    monkeypatch.setattr(lebesgue, "_svd", inflated)
+    monkeypatch.setattr(np.linalg, "qr", inflated)
     with pytest.raises(NumericalError, match="iterate limit lost positivity") as info:
         arlinskii_iterate(a, b)
+    assert len(calls) == 1
     assert info.value.residual > DEFAULT_TOL.psd_slack * (a.norm + b.norm)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_iterate_keeps_a_direct_sum_block_diagonal(seed):
+    # on A = A1 + A2 + A3 and B = B1 + B2 + B3 (blocks 3, 4 and 2, each B_i
+    # with a singular part) every factor iterate builds is local to one
+    # summand, the QR of the stack included, so ac and sing carry exact
+    # zeros between the summands
+    rng = np.random.default_rng([17, seed])
+    dims, ranks_a, ranks_b = (3, 4, 2), (2, 2, 1), (3, 3, 2)
+    starts = np.cumsum((0,) + dims)
+    a_entries, b_entries = np.zeros((9, 9), complex), np.zeros((9, 9), complex)
+    for lo, hi, ra, rb in zip(starts, starts[1:], ranks_a, ranks_b):
+        a_entries[lo:hi, lo:hi] = random_psd(rng, hi - lo, ra).entries
+        b_entries[lo:hi, lo:hi] = random_psd(rng, hi - lo, rb).entries
+    a, b = PsdMatrix(a_entries), PsdMatrix(b_entries)
+    dec = arlinskii_iterate(a, b)
+    assert dec.converged
+    for part in (dec.ac.entries, dec.sing.entries):
+        for i, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            outside = np.delete(part[lo:hi], np.s_[lo:hi], axis=1)
+            assert np.all(outside == 0.0), i
+    for lo, hi in zip(starts, starts[1:]):
+        assert np.linalg.norm(dec.sing.entries[lo:hi, lo:hi]) > 1e-3 * b.norm
+    assert np.linalg.norm(dec.ac.entries + dec.sing.entries - b.entries) <= roundoff(
+        b.dim, a.norm + b.norm)
 
 
 def test_auxiliary_space_balanced_pair():

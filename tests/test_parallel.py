@@ -352,6 +352,56 @@ def test_singular_sum_runs_the_full_schedule(monkeypatch, eigensolves, seed):
                                                              refused.final_increment)
 
 
+def _romberg_diagonal(values):
+    """R[k][k], k = 0, 1, ..., of Romberg's table on a scalar sequence."""
+    row, diagonal = [], []
+    for value in values:
+        carry = value
+        for m, older in enumerate(row):
+            row[m] = carry
+            carry = (2.0 ** (m + 1) * carry - older) / (2.0 ** (m + 1) - 1.0)
+        row.append(carry)
+        diagonal.append(carry)
+    return diagonal
+
+
+def test_richardson_weights_are_rombergs_diagonal():
+    # weight (k, j) is what R[k][k] makes of a unit T_j; each row is an
+    # extrapolation, so it sums to one, and its abs-sum bounds the growth of
+    # the terms' round-off that the settle allows for
+    weights = parallel._richardson_weights()
+    size = parallel.ANDO_MAX_DOUBLINGS + 1
+    assert weights.shape == (size, size)
+    for j in range(size):
+        unit = [1.0 if i == j else 0.0 for i in range(size)]
+        assert np.allclose(weights[:, j], _romberg_diagonal(unit), rtol=1e-13, atol=1e-13), j
+    assert np.allclose(weights.sum(axis=1), 1.0, rtol=0.0, atol=4.0 * np.finfo(float).eps)
+    growth = np.abs(weights).sum(axis=1).max()
+    assert 8.25 < growth <= parallel._ROMBERG_GROWTH
+    assert parallel._richardson_weights() is weights
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_lu_term_matches_the_pseudoinverse_term(seed):
+    # on a certified pair (B nonsingular on ker A with a margin) the term
+    # with one LU of h_k and one of Sigma_k is the kept block the clip and
+    # pseudoinverse give, up to round-off, along the whole schedule
+    rng = np.random.default_rng([43, seed])
+    a, b = random_psd(rng, 12, rank=8, ratio=1e6), random_psd(rng, 12, rank=10, ratio=1e6)
+    dec = eig_hermitian(a)
+    lam = dec.eigenvalues[DEFAULT_TOL.support(dec.eigenvalues)]
+    bt = parallel._rotated(dec.vectors, b.entries)
+    w = eig_hermitian(parallel._kernel_split_schur(lam, bt, b.norm, DEFAULT_TOL)[1]).eigenvalues
+    e = roundoff(b.dim, b.norm)
+    assert np.all(w - 2.0 * e > DEFAULT_TOL.rank_rtol * (b.norm + e))
+    for k in (0, 1, 10, 40):
+        one_lu = parallel._nonsingular_kept_term(2.0**k * lam, bt)
+        clipped = parallel._kernel_split_parallel_sum(2.0**k * lam, bt, b.norm, DEFAULT_TOL,
+                                                      on_range=True)[0]
+        assert one_lu.shape == clipped.shape == (8, 8)
+        assert np.linalg.norm(one_lu - clipped) <= roundoff(b.dim, b.norm), k
+
+
 def test_rank_ambiguous_pair_settles_near_iterate():
     # the tenth draw of default_rng(14), at spread 1e14, is rank-ambiguous,
     # so iterate is the comparison, not the oracle
