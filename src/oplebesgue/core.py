@@ -230,6 +230,18 @@ def _require_psd(eigenvalues: np.ndarray, tol: Tolerances) -> None:
         )
 
 
+def accepted_negative_mass(m: PsdMatrix) -> float:
+    """Sum of |lambda| over the negative eigenvalues of the factorization ``m``
+    keeps: the mass below zero that validation accepted within its slack.
+    Read with no solve; a matrix PSD by construction and not yet factored
+    has none."""
+    factored = m._factored
+    if factored is None:
+        return 0.0
+    w = factored.dec.eigenvalues
+    return float(-np.sum(w[w < 0.0]))
+
+
 def roundoff(dim: int, scale: float) -> float:
     """Round-off bound of a dense size-``dim`` computation on inputs of norm ``scale``."""
     return 256.0 * max(dim, 1) * np.finfo(float).eps * scale

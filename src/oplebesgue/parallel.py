@@ -14,6 +14,7 @@ from .core import (
     Tolerances,
     _eigvalsh,
     _frobenius,
+    accepted_negative_mass,
     clip_psd,
     clip_psd_in_eigenbasis,
     clip_psd_with_floor,
@@ -51,62 +52,59 @@ _ROMBERG_GROWTH = 8.3
 _CG_STEPS_PER_DIM = 64
 
 
-def _nearest_in_order_interval(h: np.ndarray, upper: np.ndarray, noise: float,
-                               tol: Tolerances, context: str) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_in_order_interval(h: np.ndarray, upper: np.ndarray, noise: float, scale: float,
+                               below: float, tol: Tolerances,
+                               context: str) -> tuple[np.ndarray, np.ndarray]:
     """Move a Hermitian matrix into {X : 0 <= X <= upper} (Dykstra projections).
 
     Returns X and its complement C = upper - X.  The exact value being
     approximated lies in that set, so only round-off (at most ``noise``)
     should need correcting; a larger displacement is a genuine failure, as
-    is X below the PSD slack at ||upper|| after 100 rounds.  Each round ends
-    on X = upper - C with C clipped PSD, so only X >= 0 is checked, and first
-    without an eigensolve: with Y the round's clip of X + P and Q the
+    is X below -(psd_slack * ``scale`` + ``below``) after 100 rounds, where
+    ``scale`` is the norm of the problem ``upper`` comes from (at least
+    ||upper||) and ``below`` the negative mass its inputs were accepted
+    with.  Rounds stop once X is within 1e-13 * ``scale`` of PSD.  Each round
+    ends on X = upper - C with C clipped PSD, so only X >= 0 is checked, and
+    first without an eigensolve: with Y the round's clip of X + P and Q the
     previous correction, X = Y + Q + (M - C) up to the rounding of the sums,
     where M = upper - (Y + Q) is the matrix clipped to C.  Y is PSD up to its
     rebuild round-off, so lambda_min(X) >= floor(M - C) - ||Q||_F - that
     round-off - the sums' rounding (``clip_psd_with_floor``).  The round
     stops on that certificate; only when it falls short does one
     ``eigvalsh`` of X decide, as it did in every round before.
-
-    ``h`` may be given as the leading k x k block of a matrix that is zero
-    elsewhere.  It is lifted into ``upper``'s shape, and the first round's
-    PSD projection factors only that block: the projection of the lifted
-    matrix is the lifted projection of the block.
     """
-    n, k = upper.shape[0], h.shape[0]
+    n = upper.shape[0]
     if n == 0:
         return upper, upper
     eps = np.finfo(float).eps
-    scale = _frobenius(upper)
+    upper_norm = _frobenius(upper)
     stop = 1e-13 * scale
     # a certificate accepted in place of the smallest eigenvalue must also
     # clear the slack tested below
     certified = min(stop, tol.psd_slack * scale)
-    start = np.pad(h, (0, n - k))
-    x = start
+    x = h
     p = np.zeros_like(upper)
     q = np.zeros_like(upper)
     block = h
     for _ in range(100):
         y = clip_psd(block, np.inf, tol, context)
-        y_entries = y.entries if y.dim == n else np.pad(y.entries, (0, n - k))
-        p = x + p - y_entries
-        complement, floor = clip_psd_with_floor(upper - (y_entries + q), tol)
+        p = x + p - y.entries
+        complement, floor = clip_psd_with_floor(upper - (y.entries + q), tol)
         x = upper - complement.entries
         q_norm = _frobenius(q)
-        q = y_entries + q - x
+        q = y.entries + q - x
         # the three sums round by at most eps/2 times their operands' norms
         low = (floor - q_norm - gram_roundoff(n, y.trace)
-               - eps * (scale + y.norm + q_norm + complement.norm))
+               - eps * (upper_norm + y.norm + q_norm + complement.norm))
         if low >= -certified:
             break
         low = float(_eigvalsh(x)[0])
         if low >= -stop:
             break
         block = x + p
-    if low < -tol.psd_slack * scale:
+    if low < -(tol.psd_slack * scale + below):
         raise NumericalError(f"{context} did not settle above zero ({low:.3e})", residual=-low)
-    moved = _frobenius(x - start)
+    moved = _frobenius(x - h)
     if moved > noise:
         raise NumericalError(
             f"{context} violated its order bounds beyond round-off ({moved:.3e})",
@@ -214,6 +212,9 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     ||S||^2 inverse): the dense bound ||S||^2 lambda_max((A + B)^+) read off
     the split's own factors.  The growth of Y over ||S|| in the elimination
     is not bounded a priori; it is left to ``roundoff``'s dimension factor.
+    The clip also allows the negative eigenvalue mass that validation
+    accepted in either input, read off their kept spectra: that mass is the
+    input's, not round-off.
     """
     require_same_dim(a, b)
     big, small = (a, b) if a.norm >= b.norm else (b, a)
@@ -223,7 +224,8 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
                                       on_range=True)
     kept = w[tol.support(w, small.norm)]
     inverse = max(1.0 / lam[-1] if lam.size else 0.0, 1.0 / kept[-1] if kept.size else 0.0)
-    noise = roundoff(a.dim, a.norm + b.norm + small.norm + small.norm**2 * inverse)
+    noise = (roundoff(a.dim, a.norm + b.norm + small.norm + small.norm**2 * inverse)
+             + accepted_negative_mass(a) + accepted_negative_mass(b))
     return clip_psd_in_eigenbasis(t, big, noise, tol, "parallel sum")
 
 
@@ -307,8 +309,10 @@ class AndoLimitResult:
     converged: False when the schedule ended (doubling cap, drop guard or
         resolution stop) before either stopping rule was met.
     sing_part: the singular part B - ac_part, as the settle leaves it: the
-        rotation back of its last clipped complement, so PSD by construction
-        (all of B when A has no kept eigenvalue).
+        rotation back of its last clipped complement C, plus, when the
+        limit was settled on ran A, the Gram product of B's Cholesky factor
+        on ker A (see ``ando_ac_part``), so PSD by construction (all of B
+        when A has no kept eigenvalue).
     """
 
     ac_part: PsdMatrix
@@ -357,9 +361,10 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     every term is Bt - Bt (D_k + Bt)^+ Bt, with D_k = 2^k Lam on the kept
     block and 0 on the rest, evaluated by the kernel-split solve of
     ``parallel_sum`` and kept as its Hermitian part.  No term is factored;
-    the limit is settled into [0, Bt] once and rotated back once, and so is
-    the settle's clipped complement Bt - limit, the singular part.  A
-    reference with no kept eigenvalue makes every term zero.
+    the limit is settled into [0, Bt] once (see "The settle") and rotated
+    back once, and the settle's clipped complement Bt - limit gives the
+    singular part.  A reference with no kept eigenvalue makes every term
+    zero.
 
     One Schur complement per schedule.  h_k = 2^k Lam + Bt11 >= h_0 > 0, so
     the Schur complement on ker A, Sigma_k = Bt00 - Bt10* h_k^-1 Bt10, has
@@ -372,11 +377,25 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     of Sigma_k, with no eigensolve, and since T_k then vanishes off ran A
     (Anderson & Trapp 1975: ran(A : B) lies in ran A), every term is formed
     and extrapolated as its r x r kept block (``_nonsingular_kept_term``).
-    The settle lifts the limit with zeros on ker A and projects only the
-    block first.  Otherwise, as when A + B is singular and Sigma drops
+    Otherwise, as when A + B is singular and Sigma drops
     sub-cutoff mass that belongs in ac, every term is the full n x n product
     of ``_kernel_split_parallel_sum``, the first one on Sigma_0's
     factorization.
+
+    The settle.  The limit lies in [0, Bt] and is settled into it by
+    ``_nearest_in_order_interval``, whose complement Bt - limit is the
+    singular part; an uncertified limit is settled on all of C^n.  A
+    certified one lives on ran A (it is the short of B to ran A, Anderson &
+    Trapp 1975), and for X on the kept block, 0 <= X <= Bt exactly when 0
+    <= X11 <= Shat = Bt11 - Bt10 Bt00^-1 Bt01.  Bt00 >= Sigma_0 > 0, so one
+    Cholesky Bt00 = L00 L00* cannot fail, W = L00^-1 Bt01 gives Shat = Bt11 -
+    W* W, and the settle factors only r x r matrices.  With C = Shat - X11,
+    Bt - X = [C 0; 0 0] + K K* for K = [W*; L00], so the singular part U1 C
+    U1* + (U K)(U K)* is a sum of Gram products.  The settle's stopping and
+    slack scale stays ||Bt|| on ran A, and its floor allows the negative
+    eigenvalue mass B was accepted with.  Shat bounds the settle only: the
+    terms never read it, since (2^k Lam) : Shat tends to Shat itself, the
+    oracle's formula, and the route would no longer be independent.
 
     ``(tA) : B`` is a rational function of s = 1/t, analytic at 0, so the
     terms expand as T_k = L + c_1 2^-k + c_2 4^-k + ...  Romberg's table
@@ -416,7 +435,8 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     # Sigma_k >= Sigma_0, so a margin on the first certifies the schedule
     e = roundoff(b.dim, b.norm)
     w = eig_hermitian(split[1], tol).eigenvalues
-    if np.all(w - 2.0 * e > tol.rank_rtol * (b.norm + e)):
+    certified = bool(np.all(w - 2.0 * e > tol.rank_rtol * (b.norm + e)))
+    if certified:
         def term(k: int) -> np.ndarray:
             return _nonsingular_kept_term((2.0**k) * lam, bt)
 
@@ -463,12 +483,32 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
         limit, noise = extrapolated, _ROMBERG_GROWTH * step_noise
     # The limit sits in the order interval [0, Bt]; round-off can push the
     # computed term slightly outside, so settle it back (which validates it).
-    # Its complement Bt - limit comes out clipped PSD, and a unitary
-    # congruence of it is the singular part.
+    # Its complement Bt - limit comes out clipped PSD and gives the singular
+    # part.
     budget = 1e4 * max(noise, threshold)
-    settled, complement = _nearest_in_order_interval(limit, bt, budget, tol, "doubling limit")
-    ac = u @ settled @ u.conj().T
-    sing = u @ complement @ u.conj().T
+    scale, below = _frobenius(bt), accepted_negative_mass(b)
+    if certified:
+        # settle on ran A into [0, Shat], Shat = Bt11 - W* W with Bt00 =
+        # L00 L00* and W = L00^-1 Bt01; then Bt - X = [C 0; 0 0] + K K* for
+        # K = [W*; L00]
+        r = lam.size
+        try:
+            l00 = np.linalg.cholesky(bt[r:, r:])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"doubling limit: Cholesky of B on ker A failed: {exc}") from exc
+        wt = np.linalg.solve(l00, bt[r:, :r])
+        shat = bt[:r, :r] - wt.conj().T @ wt
+        settled, complement = _nearest_in_order_interval(
+            limit, shat / 2.0 + shat.conj().T / 2.0, budget, scale, below, tol, "doubling limit")
+        u1 = u[:, :r]
+        k = u1 @ wt.conj().T + u[:, r:] @ l00
+        ac = u1 @ settled @ u1.conj().T
+        sing = u1 @ complement @ u1.conj().T + k @ k.conj().T
+    else:
+        settled, complement = _nearest_in_order_interval(limit, bt, budget, scale, below, tol,
+                                                         "doubling limit")
+        ac = u @ settled @ u.conj().T
+        sing = u @ complement @ u.conj().T
     return AndoLimitResult(psd_by_construction(ac, tol), len(terms), increment, converged,
                            psd_by_construction(sing, tol))
 

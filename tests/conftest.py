@@ -7,10 +7,10 @@ import pytest
 @pytest.fixture
 def eigensolves(monkeypatch):
     """(solver name, copy of the input) for every call of numpy's Hermitian
-    eigensolvers, of its SVD and of its QR, so that a pinned tally cannot
-    hide work moved into an SVD or a QR."""
+    eigensolvers, of its SVD, of its QR and of its Cholesky, so that a pinned
+    tally cannot hide work moved into another factorization."""
     calls = []
-    for name in ("eigh", "eigvalsh", "svd", "qr"):
+    for name in ("eigh", "eigvalsh", "svd", "qr", "cholesky"):
         original = getattr(np.linalg, name)
 
         def counted(h, *args, _name=name, _original=original, **kwargs):

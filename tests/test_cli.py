@@ -216,8 +216,9 @@ def test_form_psum_runs_one_parallel_sum(capsys, eigensolves):
     (("psum",), {("eigh", 2): 3, ("eigh", 1): 8, ("eigvalsh", 2): 2, ("eigvalsh", 1): 2}),
     (("decompose",), {("eigh", 2): 2, ("eigh", 1): 17, ("svd", 4): 2, ("svd", 2): 2,
                       ("svd", 1): 1}),
-    (("decompose", "--cross-check"), {("eigh", 2): 10, ("eigh", 1): 23, ("svd", 4): 2,
-                                      ("svd", 2): 4, ("svd", 1): 1, ("qr", 9): 1}),
+    (("decompose", "--cross-check"), {("eigh", 2): 10, ("eigh", 1): 22, ("svd", 4): 2,
+                                      ("svd", 2): 4, ("svd", 1): 1, ("qr", 9): 1,
+                                      ("cholesky", 1): 1}),
 ], ids=["psum", "decompose", "cross-check"])
 def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolves, args,
                                                               expected):
@@ -230,7 +231,9 @@ def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolve
     # the root-factor stack [X Y]* (4 x 2 twice, 1 x 1) and of V_X* (2 x 2
     # twice).  ando's doubling certifies its schedule on the one 1-dim Schur
     # complement of its first term, so its other 11 terms factor none, and
-    # its settle clips only the 4-dim kept block, as two 2-dim blocks.
+    # its settle runs on the 4-dim ran A: one 1 x 1 Cholesky of B on ker A,
+    # then clips of the limit and of its complement under B's Schur
+    # complement onto ran A, each as two 2-dim blocks.
     # iterate's congruence is one thin QR of the 9 x 5 stack [diag(lam)^(1/2),
     # F]*, where an SVD took it in three blocks (2, 2 and 1).
     # Revalidating a direct sum, by eigh or eigvalsh, adds a call per block

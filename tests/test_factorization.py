@@ -71,10 +71,11 @@ def test_ando_eigensolve_count(eigensolves):
     # first term factors its Schur complement on the 4-dim kernel of A, whose
     # smallest eigenvalue certifies every later one, so the other 14 terms
     # solve against theirs with no eigensolve and form only the 8 x 8 kept
-    # block.  The settling round clips that block (size 8) and the full
-    # complement B - limit (size 12), whose spectrum certifies the settled
-    # limit, so no eigvalsh runs
-    assert _tally(eigensolves) == {("eigh", 4): 1, ("eigh", 8): 1, ("eigh", 12): 1}
+    # block.  The settle runs on ran A: one Cholesky of B's block on ker A
+    # (size 4) gives the Schur complement Shat of B onto ran A, and the
+    # settling round clips the limit (size 8) and Shat - limit (size 8),
+    # whose spectrum certifies the settled limit, so no eigvalsh runs
+    assert _tally(eigensolves) == {("eigh", 4): 1, ("cholesky", 4): 1, ("eigh", 8): 2}
 
 
 def test_ando_singular_part_needs_no_eigensolve(eigensolves):

@@ -77,9 +77,9 @@ def test_direct_is_near_the_oracle_or_flagged(dim, exponent, index):
 
 def test_certified_doubling_limit_settles_in_one_round(monkeypatch):
     # A + B is invertible, so the schedule is certified and its limit is
-    # formed on ran A alone: lifted with exact zeros on ker A, it has no
-    # round-off there for the settle to remove.  The full 128 x 128 limit
-    # took 50 Dykstra rounds, 9.4e-11 * ||B|| off the oracle
+    # formed and settled on ran A alone (rank 42): there is no round-off on
+    # ker A for the settle to remove.  The full 128 x 128 limit took 50
+    # Dykstra rounds, 9.4e-11 * ||B|| off the oracle
     a, b, oracle = _draw(128, 8, 0)
     rounds = []
     real = parallel.clip_psd_with_floor
@@ -91,5 +91,5 @@ def test_certified_doubling_limit_settles_in_one_round(monkeypatch):
     monkeypatch.setattr(parallel, "clip_psd_with_floor", counted)
     result = ando_ac_part(a, b, _TOL)
     assert result.converged
-    assert rounds == [(128, 128)]
+    assert rounds == [(42, 42)]
     assert np.linalg.norm(result.ac_part.entries - oracle) <= 1e-9 * b.norm

@@ -315,6 +315,26 @@ def test_factored_parallel_sum_identity():
         assert gap <= 1e-9 * (1.0 + a.norm + b.norm)
 
 
+@pytest.mark.parametrize("swapped", [False, True], ids=["b-negative", "a-negative"])
+@pytest.mark.parametrize("call", ["parallel_sum", "direct", "iterate", "ando"])
+def test_negative_mass_inside_the_slack_is_carried_through(call, swapped):
+    # PsdMatrix accepts diag(-1e-11, 0) within its slack, so every call takes
+    # the pair, and the clip allowance and the settle's floor make room for
+    # the mass the constructor accepted.  A : B and the ac part are zero up
+    # to that slack (one operand is), and the parts sum to B.  The numpy
+    # oracle is no reference here: its SVD counts |-1e-11| as rank
+    a, b = PsdMatrix(np.eye(2)), PsdMatrix(np.diag([-1e-11, 0.0]))
+    if swapped:
+        a, b = b, a
+    slack = DEFAULT_TOL.psd_slack * (1.0 + a.norm + b.norm)
+    if call == "parallel_sum":
+        assert np.linalg.norm(parallel_sum(a, b).entries) <= slack
+        return
+    ac, sing = decompose(a, b, call)
+    assert np.linalg.norm(ac.entries) <= slack
+    assert np.linalg.norm(ac.entries + sing.entries - b.entries) <= slack
+
+
 def test_direct_invertible_reference_has_no_singular_part():
     b = PsdMatrix([[2.0, 1.0], [1.0, 2.0]])
     dec = direct_decompose(PsdMatrix.identity(2), b)

@@ -260,13 +260,15 @@ def test_unsettled_doubling_limit_is_a_named_failure():
 
 
 @pytest.mark.parametrize("draw, rounds", [((5, 0, 1e3), 1), (([31, 8], 5, 1e8), 2),
-                                          (([31, 10], 23, 1e10), 26)])
+                                          (([31, 10], 23, 1e10), 26),
+                                          (([31, 10], 0, 1e10), 1)])
 def test_settle_without_its_certificate_ends_bitwise_the_same(monkeypatch, draw, rounds):
     # with every certificate refused, each settling round runs the exact
     # eigvalsh, and the settled limit and its complement come out bitwise
     # the same.  A one-round settle is certified with no eigvalsh; after a
     # first round the previous correction enters the bound, and these
-    # settles check exactly
+    # settles check exactly.  The first three schedules are uncertified and
+    # settle on all of C^n; the last is certified and settles on ran A
     a, b = _draw(*draw)
     seen = []
     clip, exact_check = parallel.clip_psd_with_floor, parallel._eigvalsh
@@ -307,15 +309,18 @@ def _refuse_the_schedule_certificate(monkeypatch, b):
 
 def test_uncertified_schedule_factors_every_schur_complement(monkeypatch, eigensolves):
     # A + B is invertible, so the first term's Schur complement on the 4-dim
-    # kernel of A certifies the schedule (one eigh of size 4 in all); with
-    # the certificate refused, every term factors its own, forms the full
+    # kernel of A certifies the schedule (one eigh of size 4 in all), and
+    # the settle runs on the 8-dim ran A: one Cholesky of B's 4-dim block on
+    # ker A, then one clip of the limit and one of its complement.  With the
+    # certificate refused, every term factors its own, forms the full
     # 12 x 12 product, and the settle clips two dense 12 x 12 matrices.  The
     # limit is the same up to round-off
     rng = np.random.default_rng(5)
     a, b = random_psd(rng, 12, rank=8), random_psd(rng, 12, rank=10)
     eigensolves.clear()
     certified = ando_ac_part(a, b)
-    assert [h.shape[0] for _, h in eigensolves] == [4, 8, 12]
+    assert [(name, h.shape[0]) for name, h in eigensolves] == [
+        ("eigh", 4), ("cholesky", 4), ("eigh", 8), ("eigh", 8)]
     eigensolves.clear()
     _refuse_the_schedule_certificate(monkeypatch, b)
     checked = ando_ac_part(a, b)
@@ -325,6 +330,62 @@ def test_uncertified_schedule_factors_every_schur_complement(monkeypatch, eigens
     for got, want in ((checked.ac_part, certified.ac_part),
                       (checked.sing_part, certified.sing_part)):
         assert np.linalg.norm(got.entries - want.entries) <= roundoff(b.dim, b.norm)
+
+
+@pytest.mark.parametrize("exponent", [3, 6, 8, 10, 12])
+def test_on_range_settle_matches_the_full_settle(monkeypatch, exponent):
+    # a certified schedule settles its r x r limit into [0, Shat], Shat the
+    # Schur complement of Bt onto ran A; the n-dim settle of the same limit,
+    # lifted with zeros on ker A, into [0, Bt] must give the same ac and sing
+    # parts and raise on the same draws.  With A of full rank Shat is Bt, and
+    # the two settles are one
+    real = parallel._nearest_in_order_interval
+    rng = np.random.default_rng([31, exponent])
+    certified = 0
+    for index in range(150):
+        a, b = random_pair(rng, 12, 10.0**exponent)
+        u = eig_hermitian(a).vectors
+        bt = parallel._rotated(u, b.entries)
+        full = []
+
+        def spy(h, upper, *args):
+            if h.shape[0] < b.dim:
+                try:
+                    full.append(real(np.pad(h, (0, b.dim - h.shape[0])), bt, *args))
+                except NumericalError as exc:
+                    full.append(exc)
+            return real(h, upper, *args)
+
+        monkeypatch.setattr(parallel, "_nearest_in_order_interval", spy)
+        try:
+            result = ando_ac_part(a, b)
+        except NumericalError as exc:
+            result = exc
+        if not full:
+            continue
+        certified += 1
+        assert isinstance(result, NumericalError) == isinstance(full[0], NumericalError), index
+        if isinstance(result, NumericalError):
+            continue
+        for got, want in zip((result.ac_part, result.sing_part), full[0]):
+            assert np.linalg.norm(got.entries - u @ want @ u.conj().T) <= 1e-14 * b.norm, index
+    assert certified >= 45
+
+
+def test_certified_schedule_factors_nothing_larger_than_rank_a(eigensolves):
+    # a 64-dim pair shaped like the benchmark's (rank A 40, B with a margin on
+    # ker A): after the 24-dim Schur complement that certifies the schedule,
+    # no solve is larger than rank A, the n-dim complement included
+    rng = np.random.default_rng(64)
+    a = random_psd(rng, 64, rank=40, ratio=2.0)
+    b = random_psd(rng, 64, rank=40, ratio=30.0)
+    eigensolves.clear()
+    result = ando_ac_part(a, b)
+    assert result.converged
+    assert [(name, h.shape[0]) for name, h in eigensolves[:2]] == [("eigh", 24), ("cholesky", 24)]
+    assert max(h.shape[0] for _, h in eigensolves[2:]) <= 40
+    error = np.linalg.norm(result.ac_part.entries - anderson_trapp_ac(a.entries, b.entries))
+    assert error <= 1e-9 * b.norm
 
 
 @pytest.mark.parametrize("seed", range(3))
