@@ -22,6 +22,7 @@ from .core import (
     _frobenius,
     _from_spectrum,
     _svd,
+    accepted_negative_mass,
     eig_hermitian,
     psd_by_construction,
     psd_difference,
@@ -143,7 +144,7 @@ def arlinskii_iterate(
     """Iterate B <- B - B : A on the range of B until the trace increment stalls.
 
     The iterates decrease monotonically to the singular part of B relative
-    to A; stopping uses trace(B_n - B_{n+1}) <= iter_tol * trace B.  They lie
+    to A; stopping uses trace(B_n - B_{n+1}) <= iter_tol * trace |B|.  They lie
     below B, so on M = ran B, where X : A = X_M : S_M(A) with the short
     S_M(A) = U F F* U* of A to M (``_range_compression``): the iteration
     starts from diag(lam) against Y = F F*.  The thin QR
@@ -173,9 +174,10 @@ def arlinskii_iterate(
     gw = r.conj().T @ w
     h = u @ gw
     weight = np.sum(np.abs(h) ** 2, axis=0)
-    # B's round-off may leave tr B slightly negative; no increment reaches a
-    # negative threshold
-    threshold = max(tol.iter_tol * b.trace, 0.0)
+    # tr B + 2 (accepted negative mass) is sum |lambda| over B's kept
+    # spectrum: the negative mass validation accepted must not make the
+    # threshold negative, which no increment could reach
+    threshold = tol.iter_tol * (b.trace + 2.0 * accepted_negative_mass(b))
     g = 1.0 - y
     converged = False
     for iterations in range(1, tol.max_iter + 1):

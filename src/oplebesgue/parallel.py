@@ -119,70 +119,43 @@ def _rotated(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     return mt / 2.0 + mt.conj().T / 2.0
 
 
-def _kernel_split_schur(lam: np.ndarray, st: np.ndarray, small_norm: float,
-                        tol: Tolerances) -> tuple[np.ndarray, PsdMatrix]:
-    """(h^-1 S10, Sigma clipped): the kernel split's one factorization.
+def _schur(lam: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """([h^-1 S11 | h^-1 S10], Sigma): the kernel split's one solve against h.
 
     ``st`` is the small operand S in a basis that splits the large operand D
     into its kept eigenvalues ``lam`` (D = diag(lam) on the leading block)
-    and its kernel (D = 0), of norm ``small_norm``, with blocks S11 (kept x
-    kept), S10 (kept x kernel) and S00 (kernel x kernel).  The kept block is
-    solved against h = diag(lam) + S11, well conditioned, and the Schur
-    complement Sigma = S00 - S10* h^-1 S10, which lives entirely at the
-    small scale, is clipped PSD against ||S||: one eigensolve, which the
-    clipped matrix keeps.
+    and its kernel (D = 0), with blocks S11 (kept x kept), S10 (kept x
+    kernel) and S00 (kernel x kernel).  One LU of h = diag(lam) + S11, well
+    conditioned, solves [S11 | S10]; the Schur complement Sigma = S00 - S10*
+    h^-1 S10, which lives entirely at the small scale, is returned as its
+    Hermitian part.
     """
     r = lam.size
-    hinv_f = np.linalg.solve(np.diag(lam) + st[:r, :r], st[:r, r:])
-    schur = st[r:, r:] - st[:r, r:].conj().T @ hinv_f
-    return hinv_f, clip_psd(schur, roundoff(st.shape[0], small_norm), tol, "Schur complement")
+    solved = np.linalg.solve(np.diag(lam) + st[:r, :r], st[:r])
+    schur = st[r:, r:] - st[:r, r:].conj().T @ solved[:, r:]
+    return solved, schur / 2.0 + schur.conj().T / 2.0
 
 
-def _kernel_split_parallel_sum(lam: np.ndarray, st: np.ndarray, small_norm: float, tol: Tolerances,
-                               on_range: bool = False,
-                               split: tuple[np.ndarray, PsdMatrix] | None = None,
-                               ) -> tuple[np.ndarray, np.ndarray]:
-    """(T, w): T = S - S (D + S)^+ S as its Hermitian part, in the basis of
-    ``_kernel_split_schur``, whose output ``split`` is computed here unless
-    given; w holds the eigenvalues, descending, of the clipped Schur
-    complement Sigma.
+def _term(st: np.ndarray, solved: np.ndarray, schur: np.ndarray,
+          schur_pinv: np.ndarray | None) -> np.ndarray:
+    """T = S - S (D + S)^+ S as its Hermitian part, from ``_schur``'s output.
 
-    The kernel block is inverted through Sigma's pseudoinverse, its rank
-    decided against ||S||: when S lies in the large operand's range Sigma
-    is round-off, which its own largest eigenvalue would keep.  When that
-    keeps every eigenvalue, D + S is invertible and T = D - D (D + S)^-1 D
-    vanishes outside the kept block; with ``on_range`` only that block of T
-    is then formed.
+    With G = h^-1 S10, z0 = Sigma^+ (S01 - G* S1), z1 = h^-1 S1 - G z0 (both
+    read off the one solve, so h is not factored again) and T = S - S1* z1 -
+    S0* z0.  ``schur_pinv`` None means Sigma is known nonsingular: z0 takes
+    one LU of Sigma, and since D + S is then invertible and T = D - D (D +
+    S)^-1 D vanishes off ran D, only T's r x r kept block is formed.
+    Otherwise z0 applies the given pseudoinverse of Sigma's clip and the
+    whole n x n product is formed, which keeps the part of S that Sigma's
+    rank decision dropped.
     """
-    r = lam.size
-    s1, s0 = st[:r], st[r:]
-    hinv_f, clipped = split if split is not None else _kernel_split_schur(lam, st, small_norm, tol)
-    schur_pinv = pinv(clipped, tol, reference=small_norm).entries
-    w = eig_hermitian(clipped, tol).eigenvalues
-    cols = r if on_range and tol.support(w, small_norm).all() else st.shape[0]
-    z0 = schur_pinv @ (s0[:, :cols] - hinv_f.conj().T @ s1[:, :cols])
-    z1 = np.linalg.solve(np.diag(lam) + s1[:, :r], s1[:, :cols] - s1[:, r:] @ z0)
-    t = st[:cols, :cols] - s1[:, :cols].conj().T @ z1 - s0[:, :cols].conj().T @ z0
-    return t / 2.0 + t.conj().T / 2.0, w
-
-
-def _nonsingular_kept_term(lam: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """The kept block of T = S - S (D + S)^-1 S, in the basis of
-    ``_kernel_split_schur``, when the caller has certified that Sigma's clip
-    and pseudoinverse would keep every eigenvalue (see ``ando_ac_part``).
-
-    One LU of h gives [h^-1 S11 | h^-1 S10] from [S11 | S10], one of Sigma
-    gives z0 = Sigma^-1 (S01 - S10* h^-1 S11), and then z1 = h^-1 S11 -
-    h^-1 S10 z0 and T11 = S11 - S11 z1 - S10 z0: no eigensolve, no clip.
-    """
-    r = lam.size
-    s1, s0 = st[:r], st[r:]
-    solved = np.linalg.solve(np.diag(lam) + s1[:, :r], s1)
-    hinv_s, hinv_f = solved[:, :r], solved[:, r:]
-    schur = s0[:, r:] - s1[:, r:].conj().T @ hinv_f
-    z0 = np.linalg.solve(schur / 2.0 + schur.conj().T / 2.0,
-                         s0[:, :r] - hinv_f.conj().T @ s1[:, :r])
-    t = s1[:, :r] - s1[:, :r].conj().T @ (hinv_s - hinv_f @ z0) - s0[:, :r].conj().T @ z0
+    r = solved.shape[0]
+    cols = r if schur_pinv is None else st.shape[0]
+    s1, s0 = st[:r, :cols], st[r:, :cols]
+    hinv_f = solved[:, r:]
+    rhs = s0 - hinv_f.conj().T @ s1
+    z0 = np.linalg.solve(schur, rhs) if schur_pinv is None else schur_pinv @ rhs
+    t = st[:cols, :cols] - s1.conj().T @ (solved[:, :cols] - hinv_f @ z0) - s0.conj().T @ z0
     return t / 2.0 + t.conj().T / 2.0
 
 
@@ -194,12 +167,21 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     S - S (D + S)^+ S, with D the operand of larger norm and S the other,
     which equals A (A+B)^+ B exactly but keeps every intermediate bounded by
     ||S||.  The evaluation runs in D's own eigenbasis U = [U1 | U0] (kept |
-    kernel), read off D's factorization: S is rotated once to U* S U and
-    goes through the kernel-split solve of ``_kernel_split_parallel_sum``, whose one
-    eigensolve is of the dim ker D Schur complement.  When that complement is
-    nonsingular the product vanishes outside ran D, so only its kept block is
-    formed and clipped, and the result U1 C U1* keeps the factorization
-    [U1 V | U0]; otherwise the whole rotated product is clipped.
+    kernel), read off D's factorization: S is rotated once to U* S U, one
+    solve against h gives the dim ker D Schur complement Sigma (``_schur``),
+    and Sigma's clip is the one eigensolve.  When ``tol.support`` keeps every
+    eigenvalue of that clip, D + S is invertible and the product vanishes
+    outside ran D, so only its kept block is formed, from one LU of Sigma
+    (``_term``), and the result U1 C U1* keeps the factorization [U1 V | U0];
+    otherwise the whole rotated product is formed through Sigma's
+    pseudoinverse and clipped.
+
+    The elimination is ``ando_ac_part``'s, but the decision is not: this
+    Sigma is the one it solves with, so the pseudoinverse's own rule decides
+    it.  ``ando_ac_part``'s margin rule exists to certify Schur complements
+    it never factors; applied here, it would send a Sigma just above the
+    cutoff through the full product, whose kernel block then carries
+    cond(Sigma) eps ||S|| of error, where the kept block stays at eps ||S||.
 
     Positivity bound.  With G = h^-1 S10 and L = [I 0; G* I], the split
     computes S (D + S)^+ S = Y* diag(h^-1, Sigma^+) Y for Y = L^-1 U* S U.
@@ -220,9 +202,14 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     big, small = (a, b) if a.norm >= b.norm else (b, a)
     dec = eig_hermitian(big, tol)
     lam = dec.eigenvalues[tol.support(dec.eigenvalues)]
-    t, w = _kernel_split_parallel_sum(lam, _rotated(dec.vectors, small.entries), small.norm, tol,
-                                      on_range=True)
-    kept = w[tol.support(w, small.norm)]
+    st = _rotated(dec.vectors, small.entries)
+    solved, schur = _schur(lam, st)
+    clipped = clip_psd(schur, roundoff(a.dim, small.norm), tol, "Schur complement")
+    w = eig_hermitian(clipped, tol).eigenvalues
+    keep = tol.support(w, small.norm)
+    schur_pinv = None if keep.all() else pinv(clipped, tol, reference=small.norm).entries
+    t = _term(st, solved, schur, schur_pinv)
+    kept = w[keep]
     inverse = max(1.0 / lam[-1] if lam.size else 0.0, 1.0 / kept[-1] if kept.size else 0.0)
     noise = (roundoff(a.dim, a.norm + b.norm + small.norm + small.norm**2 * inverse)
              + accepted_negative_mass(a) + accepted_negative_mass(b))
@@ -359,11 +346,11 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     A.  The schedule runs in A's own eigenbasis U = [U1 | U0] (kept | rest),
     with Lam the kept eigenvalues: B is rotated once to Bt = U* B U, and
     every term is Bt - Bt (D_k + Bt)^+ Bt, with D_k = 2^k Lam on the kept
-    block and 0 on the rest, evaluated by the kernel-split solve of
-    ``parallel_sum`` and kept as its Hermitian part.  No term is factored;
-    the limit is settled into [0, Bt] once (see "The settle") and rotated
-    back once, and the settle's clipped complement Bt - limit gives the
-    singular part.  A reference with no kept eigenvalue makes every term
+    block and 0 on the rest, evaluated by ``parallel_sum``'s elimination
+    (``_schur``, then ``_term``) and kept as its Hermitian part.  No term is
+    factored; the limit is settled into [0, Bt] once (see "The settle") and
+    rotated back once, and the settle's clipped complement Bt - limit gives
+    the singular part.  A reference with no kept eigenvalue makes every term
     zero.
 
     One Schur complement per schedule.  h_k = 2^k Lam + Bt11 >= h_0 > 0, so
@@ -376,11 +363,14 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     certified: every term, the first included, takes one LU of h_k and one
     of Sigma_k, with no eigensolve, and since T_k then vanishes off ran A
     (Anderson & Trapp 1975: ran(A : B) lies in ran A), every term is formed
-    and extrapolated as its r x r kept block (``_nonsingular_kept_term``).
-    Otherwise, as when A + B is singular and Sigma drops
-    sub-cutoff mass that belongs in ac, every term is the full n x n product
-    of ``_kernel_split_parallel_sum``, the first one on Sigma_0's
-    factorization.
+    and extrapolated as its r x r kept block.  Otherwise, as when A + B is
+    singular and Sigma drops sub-cutoff mass that belongs in ac, every term
+    clips its own Sigma_k, the first one reusing Sigma_0's clip, and is the
+    full n x n product through Sigma_k's pseudoinverse.  The elimination is
+    ``parallel_sum``'s, but the decision is not: ``parallel_sum`` decides on
+    the one Sigma it solves with, while this schedule decides for the whole
+    family Sigma_k >= Sigma_0 from Sigma_0 alone, so it needs the 2 e margin
+    that covers the round-off of every later computed Sigma_k.
 
     The settle.  The limit lies in [0, Bt] and is settled into it by
     ``_nearest_in_order_interval``, whose complement Bt - limit is the
@@ -405,7 +395,9 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     ``terms_used`` arrays, and each change of the diagonal is the
     combination by the difference of two weight rows.
     The schedule stops at the first of two rules, each with stopping
-    threshold ``iter_tol * trace B``:
+    threshold ``iter_tol`` times trace |B|, the sum of |lambda| over B's kept
+    spectrum (trace B plus twice the negative mass validation accepted, so
+    that the threshold is never negative):
 
     - two consecutive changes of the table's diagonal, ||R[k][k] -
       R[k-1][k-1]||_F, are both at most the threshold: the diagonal is
@@ -431,23 +423,22 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     lam = dec.eigenvalues[keep]
     u = dec.vectors
     bt = _rotated(u, b.entries)
-    split = _kernel_split_schur(lam, bt, b.norm, tol)
-    # Sigma_k >= Sigma_0, so a margin on the first certifies the schedule
     e = roundoff(b.dim, b.norm)
-    w = eig_hermitian(split[1], tol).eigenvalues
+    first = _schur(lam, bt)
+    sigma0 = clip_psd(first[1], e, tol, "Schur complement")
+    # Sigma_k >= Sigma_0, so a margin on the first certifies the schedule
+    w = eig_hermitian(sigma0, tol).eigenvalues
     certified = bool(np.all(w - 2.0 * e > tol.rank_rtol * (b.norm + e)))
-    if certified:
-        def term(k: int) -> np.ndarray:
-            return _nonsingular_kept_term((2.0**k) * lam, bt)
 
-        current = term(0)
-    else:
-        def term(k: int) -> np.ndarray:
-            return _kernel_split_parallel_sum((2.0**k) * lam, bt, b.norm, tol)[0]
+    def term(k: int) -> np.ndarray:
+        solved, schur = first if k == 0 else _schur((2.0**k) * lam, bt)
+        if certified:
+            return _term(bt, solved, schur, None)
+        clipped = sigma0 if k == 0 else clip_psd(schur, e, tol, "Schur complement")
+        return _term(bt, solved, schur, pinv(clipped, tol, reference=b.norm).entries)
 
-        current = _kernel_split_parallel_sum(lam, bt, b.norm, tol, split=split)[0]
-
-    threshold = tol.iter_tol * b.trace
+    current = term(0)
+    threshold = tol.iter_tol * (b.trace + 2.0 * accepted_negative_mass(b))
     increment = 0.0
     converged = False
     terms = [current]
@@ -487,6 +478,7 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     # part.
     budget = 1e4 * max(noise, threshold)
     scale, below = _frobenius(bt), accepted_negative_mass(b)
+    upper, basis = bt, u
     if certified:
         # settle on ran A into [0, Shat], Shat = Bt11 - W* W with Bt00 =
         # L00 L00* and W = L00^-1 Bt01; then Bt - X = [C 0; 0 0] + K K* for
@@ -498,17 +490,14 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
             raise NumericalError(f"doubling limit: Cholesky of B on ker A failed: {exc}") from exc
         wt = np.linalg.solve(l00, bt[r:, :r])
         shat = bt[:r, :r] - wt.conj().T @ wt
-        settled, complement = _nearest_in_order_interval(
-            limit, shat / 2.0 + shat.conj().T / 2.0, budget, scale, below, tol, "doubling limit")
-        u1 = u[:, :r]
-        k = u1 @ wt.conj().T + u[:, r:] @ l00
-        ac = u1 @ settled @ u1.conj().T
-        sing = u1 @ complement @ u1.conj().T + k @ k.conj().T
-    else:
-        settled, complement = _nearest_in_order_interval(limit, bt, budget, scale, below, tol,
-                                                         "doubling limit")
-        ac = u @ settled @ u.conj().T
-        sing = u @ complement @ u.conj().T
+        upper, basis = shat / 2.0 + shat.conj().T / 2.0, u[:, :r]
+        k = basis @ wt.conj().T + u[:, r:] @ l00
+    settled, complement = _nearest_in_order_interval(limit, upper, budget, scale, below, tol,
+                                                     "doubling limit")
+    ac = basis @ settled @ basis.conj().T
+    sing = basis @ complement @ basis.conj().T
+    if certified:
+        sing = sing + k @ k.conj().T
     return AndoLimitResult(psd_by_construction(ac, tol), len(terms), increment, converged,
                            psd_by_construction(sing, tol))
 

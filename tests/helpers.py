@@ -75,13 +75,18 @@ def anderson_trapp_ac(a, b, rtol=1e-10):
     ac part is the short of B to ran A (Anderson & Trapp 1975, "Shorted
     operators II"; Ando 1976).  In an orthonormal basis [Q, P] of ran A and
     its complement it is Q (B11 - B12 B22^+ B21) Q*.  Rank decisions drop
-    singular values at most ``rtol`` times the largest, of A for its range
-    and of B for the pseudoinverse of B22.
+    singular values at most ``rtol`` times the largest, of B for the
+    pseudoinverse of B22.  Ran A is judged as ``Tolerances.support`` judges
+    an eigenvalue: a left singular vector u counts when A is positive on it,
+    Re(u* A u) > 0, and its singular value exceeds ``rtol`` times the largest
+    such value, so that negative mass accepted within the PSD slack is no
+    range.
     """
     a, b = np.asarray(a), np.asarray(b)
     u, s, _ = np.linalg.svd(a)
-    rank = int(np.count_nonzero(s > rtol * s[0])) if s.size else 0
-    q, p = u[:, :rank], u[:, rank:]
+    positive = np.real(np.sum(u.conj() * (a @ u), axis=0)) > 0.0
+    keep = positive & (s > rtol * np.max(s[positive], initial=0.0))
+    q, p = u[:, keep], u[:, ~keep]
     b12 = q.conj().T @ b @ p
     b22 = p.conj().T @ b @ p
     cutoff = rtol * np.linalg.norm(b, 2) if b.size else 0.0

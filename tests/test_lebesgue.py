@@ -321,8 +321,10 @@ def test_negative_mass_inside_the_slack_is_carried_through(call, swapped):
     # PsdMatrix accepts diag(-1e-11, 0) within its slack, so every call takes
     # the pair, and the clip allowance and the settle's floor make room for
     # the mass the constructor accepted.  A : B and the ac part are zero up
-    # to that slack (one operand is), and the parts sum to B.  The numpy
-    # oracle is no reference here: its SVD counts |-1e-11| as rank
+    # to that slack (one operand is), as the oracle, which counts no
+    # negative mass as range, says too; the parts sum to B.  The iterative
+    # routes stop at iter_tol trace |B|, which the negative trace does not
+    # make negative, so every route converges
     a, b = PsdMatrix(np.eye(2)), PsdMatrix(np.diag([-1e-11, 0.0]))
     if swapped:
         a, b = b, a
@@ -330,9 +332,11 @@ def test_negative_mass_inside_the_slack_is_carried_through(call, swapped):
     if call == "parallel_sum":
         assert np.linalg.norm(parallel_sum(a, b).entries) <= slack
         return
-    ac, sing = decompose(a, b, call)
-    assert np.linalg.norm(ac.entries) <= slack
-    assert np.linalg.norm(ac.entries + sing.entries - b.entries) <= slack
+    dec = decompose(a, b, call)
+    assert dec.converged
+    assert np.linalg.norm(dec.ac.entries) <= slack
+    assert np.linalg.norm(dec.ac.entries - anderson_trapp_ac(a.entries, b.entries)) <= slack
+    assert np.linalg.norm(dec.ac.entries + dec.sing.entries - b.entries) <= slack
 
 
 def test_direct_invertible_reference_has_no_singular_part():

@@ -16,8 +16,8 @@ from oplebesgue import (
     spectral_ac_of_contraction,
     variational_value,
 )
-from oplebesgue import eig_hermitian, parallel
-from oplebesgue.core import roundoff
+from oplebesgue import eig_hermitian, parallel, pinv
+from oplebesgue.core import clip_psd, roundoff
 from oplebesgue.lebesgue import arlinskii_iterate
 
 from helpers import (
@@ -100,6 +100,55 @@ def test_nonsingular_split_stays_on_the_larger_range(eigensolves):
     assert np.allclose(rebuilt, got.entries, rtol=0.0, atol=1e-14 * got.norm)
     oracle = schur_parallel_sum(a.entries, b.entries)
     assert np.linalg.norm(got.entries - oracle) <= 1e-13 * (a.norm + b.norm)
+
+
+def _counted_solves(monkeypatch):
+    """Sizes of the matrices passed to ``np.linalg.solve``, tallied: the LUs
+    that no eigensolve tally sees."""
+    sizes = Counter()
+    real = np.linalg.solve
+
+    def counted(m, rhs):
+        sizes[m.shape[0]] += 1
+        return real(m, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return sizes
+
+
+def test_window_pair_forms_the_kept_block_on_an_uncertified_schur_complement(monkeypatch,
+                                                                            eigensolves):
+    # B's block on ker A is Q0 diag(1, .5, s) Q0*, with s above the rank
+    # cutoff but inside ando's 2 e margin: parallel_sum keeps every
+    # eigenvalue of its one Sigma and forms the 3 x 3 kept block from one LU
+    # of Sigma, while ando leaves the schedule uncertified (no Cholesky of B
+    # on ker A) and forms full products through Sigma_k's pseudoinverse, with
+    # one LU of h_k per term and none of Sigma_k.  Sent through the full
+    # product instead, parallel_sum would carry cond(Sigma) eps of error in
+    # its kernel block
+    rng = np.random.default_rng(7)
+    q1, q0 = random_unitary(rng, 3), random_unitary(rng, 3)
+    zero = np.zeros((3, 3))
+
+    def pair(s):
+        return (PsdMatrix(np.block([[(q1 * [4.0, 3.0, 2.0]) @ q1.conj().T, zero], [zero, zero]])),
+                PsdMatrix(np.block([[(q1 * [1.0, 0.7, 0.4]) @ q1.conj().T, zero],
+                                    [zero, (q0 * [1.0, 0.5, s]) @ q0.conj().T]])))
+
+    norm = pair(0.0)[1].norm
+    e = roundoff(6, norm)
+    rtol = DEFAULT_TOL.rank_rtol
+    a, b = pair((rtol * norm + rtol * (norm + e) + 2.0 * e) / 2.0)
+    assert rtol * b.norm < float(eig_hermitian(b).eigenvalues[-1]) < rtol * (b.norm + e) + 2.0 * e
+    eigensolves.clear()
+    got = parallel_sum(a, b)
+    assert [(name, h.shape[0]) for name, h in eigensolves] == [("eigh", 3), ("eigh", 3)]
+    assert np.linalg.norm(got.entries - schur_parallel_sum(a.entries, b.entries)) <= 1e-12 * b.norm
+    eigensolves.clear()
+    solves = _counted_solves(monkeypatch)
+    result = ando_ac_part(a, b)
+    assert "cholesky" not in [name for name, _ in eigensolves]
+    assert solves == {3: result.terms_used}
 
 
 def test_dimension_mismatch():
@@ -321,6 +370,10 @@ def test_uncertified_schedule_factors_every_schur_complement(monkeypatch, eigens
     certified = ando_ac_part(a, b)
     assert [(name, h.shape[0]) for name, h in eigensolves] == [
         ("eigh", 4), ("cholesky", 4), ("eigh", 8), ("eigh", 8)]
+    solves = _counted_solves(monkeypatch)
+    parallel_sum(a, b)
+    # one LU of h (rank A = 8) and one of Sigma (dim ker A = 4)
+    assert solves == {8: 1, 4: 1}
     eigensolves.clear()
     _refuse_the_schedule_certificate(monkeypatch, b)
     checked = ando_ac_part(a, b)
@@ -400,9 +453,12 @@ def test_singular_sum_runs_the_full_schedule(monkeypatch, eigensolves, seed):
     z = u[:, :9] @ (rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5)))
     b = PsdMatrix(z @ z.conj().T)
     eigensolves.clear()
+    solves = _counted_solves(monkeypatch)
     natural = ando_ac_part(a, b)
     assert natural.converged
     assert Counter(h.shape[0] for _, h in eigensolves) == {6: natural.terms_used, 12: 2}
+    # one LU of h_k per term: z1 is read off the solve that gave Sigma_k
+    assert solves == {6: natural.terms_used}
     error = np.linalg.norm(natural.ac_part.entries - anderson_trapp_ac(a.entries, b.entries))
     assert error <= 1e-12 * b.norm
     _refuse_the_schedule_certificate(monkeypatch, b)
@@ -444,23 +500,27 @@ def test_richardson_weights_are_rombergs_diagonal():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_one_lu_term_matches_the_pseudoinverse_term(seed):
-    # on a certified pair (B nonsingular on ker A with a margin) the term
-    # with one LU of h_k and one of Sigma_k is the kept block the clip and
-    # pseudoinverse give, up to round-off, along the whole schedule
+    # on a certified pair (B nonsingular on ker A with a margin) the kept
+    # block from one LU of Sigma_k is the kept block of the full product
+    # through Sigma_k's clip and pseudoinverse, and that product vanishes on
+    # ker A, up to round-off, along the whole schedule
     rng = np.random.default_rng([43, seed])
     a, b = random_psd(rng, 12, rank=8, ratio=1e6), random_psd(rng, 12, rank=10, ratio=1e6)
     dec = eig_hermitian(a)
     lam = dec.eigenvalues[DEFAULT_TOL.support(dec.eigenvalues)]
     bt = parallel._rotated(dec.vectors, b.entries)
-    w = eig_hermitian(parallel._kernel_split_schur(lam, bt, b.norm, DEFAULT_TOL)[1]).eigenvalues
     e = roundoff(b.dim, b.norm)
-    assert np.all(w - 2.0 * e > DEFAULT_TOL.rank_rtol * (b.norm + e))
     for k in (0, 1, 10, 40):
-        one_lu = parallel._nonsingular_kept_term(2.0**k * lam, bt)
-        clipped = parallel._kernel_split_parallel_sum(2.0**k * lam, bt, b.norm, DEFAULT_TOL,
-                                                      on_range=True)[0]
-        assert one_lu.shape == clipped.shape == (8, 8)
-        assert np.linalg.norm(one_lu - clipped) <= roundoff(b.dim, b.norm), k
+        solved, schur = parallel._schur(2.0**k * lam, bt)
+        clipped = clip_psd(schur, e, DEFAULT_TOL, "Schur complement")
+        if k == 0:
+            w = eig_hermitian(clipped).eigenvalues
+            assert np.all(w - 2.0 * e > DEFAULT_TOL.rank_rtol * (b.norm + e))
+        one_lu = parallel._term(bt, solved, schur, None)
+        full = parallel._term(bt, solved, schur, pinv(clipped, reference=b.norm).entries)
+        assert one_lu.shape == (8, 8) and full.shape == (12, 12)
+        assert np.linalg.norm(one_lu - full[:8, :8]) <= e, k
+        assert np.linalg.norm(full[8:]) <= e, k
 
 
 def test_rank_ambiguous_pair_settles_near_iterate():
