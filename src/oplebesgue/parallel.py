@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -12,6 +13,7 @@ from .core import (
     NumericalError,
     PsdMatrix,
     Tolerances,
+    _eigh,
     _eigvalsh,
     _frobenius,
     accepted_negative_mass,
@@ -62,9 +64,11 @@ def _nearest_in_order_interval(h: np.ndarray, upper: np.ndarray, noise: float, s
     should need correcting; a larger displacement is a genuine failure, as
     is X below -(psd_slack * ``scale`` + ``below``) after 100 rounds, where
     ``scale`` is the norm of the problem ``upper`` comes from (at least
-    ||upper||) and ``below`` the negative mass its inputs were accepted
-    with.  Rounds stop once X is within 1e-13 * ``scale`` of PSD.  Each round
-    ends on X = upper - C with C clipped PSD, so only X >= 0 is checked, and
+    ||upper||: ``ando_ac_part`` settles on a subspace M of C^n, under the
+    Schur complement of Bt onto M, at the scale ||Bt||) and ``below`` the
+    negative mass its inputs were accepted with.  Rounds stop once X is
+    within 1e-13 * ``scale`` of PSD.  Each round ends on X = upper - C with
+    C clipped PSD, so only X >= 0 is checked, and
     first without an eigensolve: with Y the round's clip of X + P and Q the
     previous correction, X = Y + Q + (M - C) up to the rounding of the sums,
     where M = upper - (Y + Q) is the matrix clipped to C.  Y is PSD up to its
@@ -176,12 +180,13 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     otherwise the whole rotated product is formed through Sigma's
     pseudoinverse and clipped.
 
-    The elimination is ``ando_ac_part``'s, but the decision is not: this
-    Sigma is the one it solves with, so the pseudoinverse's own rule decides
-    it.  ``ando_ac_part``'s margin rule exists to certify Schur complements
-    it never factors; applied here, it would send a Sigma just above the
-    cutoff through the full product, whose kernel block then carries
-    cond(Sigma) eps ||S|| of error, where the kept block stays at eps ||S||.
+    The elimination and its rank rule are ``ando_ac_part``'s, on different
+    matrices: this Sigma is the one it solves with, so the pseudoinverse's
+    own rule decides it, where ``ando_ac_part`` decides once on B's block on
+    ker A for Schur complements it never factors.  A margin on Sigma in
+    place of the rule would send a Sigma just above the cutoff through the
+    full product, whose kernel block then carries cond(Sigma) eps ||S|| of
+    error, where the kept block stays at eps ||S||.
 
     Positivity bound.  With G = h^-1 S10 and L = [I 0; G* I], the split
     computes S (D + S)^+ S = Y* diag(h^-1, Sigma^+) Y for Y = L^-1 U* S U.
@@ -289,15 +294,16 @@ class AndoLimitResult:
         Romberg-extrapolated limit when the table settled first, otherwise
         the last term of the schedule.
     terms_used: number of doubling terms (2^k A) : B evaluated along the
-        schedule; one when A has no kept eigenvalue and every term is zero.
+        schedule, from the first certified one; one when A has no kept
+        eigenvalue and every term is zero.
     final_increment: the last change of the table's diagonal (Frobenius
         norm) when the extrapolated limit is returned, otherwise the trace
         increment between the last two terms.
     converged: False when the schedule ended (doubling cap, drop guard or
         resolution stop) before either stopping rule was met.
     sing_part: the singular part B - ac_part, as the settle leaves it: the
-        rotation back of its last clipped complement C, plus, when the
-        limit was settled on ran A, the Gram product of B's Cholesky factor
+        rotation back of its last clipped complement C on M = ran A + U0 V0,
+        plus the Gram product K K* read off the factorization of B's block
         on ker A (see ``ando_ac_part``), so PSD by construction (all of B
         when A has no kept eigenvalue).
     """
@@ -343,57 +349,51 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     """Increasing limit of (n A) : B along n = 2^k, k = 0..40, extrapolated.
 
     The limit is the maximal part of B absolutely continuous with respect to
-    A.  The schedule runs in A's own eigenbasis U = [U1 | U0] (kept | rest),
-    with Lam the kept eigenvalues: B is rotated once to Bt = U* B U, and
-    every term is Bt - Bt (D_k + Bt)^+ Bt, with D_k = 2^k Lam on the kept
-    block and 0 on the rest, evaluated by ``parallel_sum``'s elimination
-    (``_schur``, then ``_term``) and kept as its Hermitian part.  No term is
-    factored; the limit is settled into [0, Bt] once (see "The settle") and
-    rotated back once, and the settle's clipped complement Bt - limit gives
-    the singular part.  A reference with no kept eigenvalue makes every term
-    zero.
+    A, the short of B to ran A (Anderson & Trapp 1975).  The schedule runs
+    in A's own eigenbasis U = [U1 | U0] (kept | rest), with Lam the kept
+    eigenvalues: B is rotated once to Bt = U* B U.  A reference with no kept
+    eigenvalue makes every term zero.
 
-    One Schur complement per schedule.  h_k = 2^k Lam + Bt11 >= h_0 > 0, so
-    the Schur complement on ker A, Sigma_k = Bt00 - Bt10* h_k^-1 Bt10, has
-    Sigma_0 <= Sigma_k <= Bt00.  A computed Sigma_k is within e =
-    roundoff(n, ||B||) of the exact one (its clip's allowance), so if the
-    smallest eigenvalue sigma of the computed Sigma_0, factored once before
-    the first term, has sigma - 2 e > rank_rtol (||B|| + e), no Sigma_k's
-    clip or pseudoinverse would drop an eigenvalue.  Such a schedule is
-    certified: every term, the first included, takes one LU of h_k and one
-    of Sigma_k, with no eigensolve, and since T_k then vanishes off ran A
-    (Anderson & Trapp 1975: ran(A : B) lies in ran A), every term is formed
-    and extrapolated as its r x r kept block.  Otherwise, as when A + B is
-    singular and Sigma drops sub-cutoff mass that belongs in ac, every term
-    clips its own Sigma_k, the first one reusing Sigma_0's clip, and is the
-    full n x n product through Sigma_k's pseudoinverse.  The elimination is
-    ``parallel_sum``'s, but the decision is not: ``parallel_sum`` decides on
-    the one Sigma it solves with, while this schedule decides for the whole
-    family Sigma_k >= Sigma_0 from Sigma_0 alone, so it needs the 2 e margin
-    that covers the round-off of every later computed Sigma_k.
+    One schedule.  B's block on ker A is factored once, Bt00 = V diag(s) V*,
+    and the pseudoinverse's rule ``tol.support(s, ||B||)`` splits V into the
+    kept V+ and the sub-cutoff V0; with G = Bt10 V, every term is S - S (D_k
+    + S)^-1 S on ran A + U0 V+, with S = [[Bt11, G+], [G+*, diag(s+)]] and
+    D_k = 2^k Lam on the kept block, evaluated by ``parallel_sum``'s
+    elimination (``_schur``, then ``_term``) and kept as its Hermitian part.
+    The rank decision is taken on Bt00, not on a Schur complement: Sigma_k =
+    diag(s+) - G+* h_k^-1 G+, with h_k = 2^k Lam + Bt11, only grows with k,
+    so a direction under the cutoff at k = 0 can clear it later.  For the
+    same reason the schedule starts at the first k <= 40 at which
+    ``cholesky(Sigma_k - 2 e I)`` succeeds, e = roundoff(n, ||B||) the
+    round-off bound of a computed Sigma_k: that one test certifies every
+    later term, and the certifying solve is the first term's.  From there
+    every term takes one LU of h_k and one of Sigma_k, with no eigensolve,
+    and since T_k vanishes off ran A, every term is formed and extrapolated
+    as its r x r kept block.  If no k certifies, NumericalError names the
+    doubling limit.
 
-    The settle.  The limit lies in [0, Bt] and is settled into it by
-    ``_nearest_in_order_interval``, whose complement Bt - limit is the
-    singular part; an uncertified limit is settled on all of C^n.  A
-    certified one lives on ran A (it is the short of B to ran A, Anderson &
-    Trapp 1975), and for X on the kept block, 0 <= X <= Bt exactly when 0
-    <= X11 <= Shat = Bt11 - Bt10 Bt00^-1 Bt01.  Bt00 >= Sigma_0 > 0, so one
-    Cholesky Bt00 = L00 L00* cannot fail, W = L00^-1 Bt01 gives Shat = Bt11 -
-    W* W, and the settle factors only r x r matrices.  With C = Shat - X11,
-    Bt - X = [C 0; 0 0] + K K* for K = [W*; L00], so the singular part U1 C
-    U1* + (U K)(U K)* is a sum of Gram products.  The settle's stopping and
-    slack scale stays ||Bt|| on ran A, and its floor allows the negative
-    eigenvalue mass B was accepted with.  Shat bounds the settle only: the
-    terms never read it, since (2^k Lam) : Shat tends to Shat itself, the
-    oracle's formula, and the route would no longer be independent.
+    The settle.  The limit X lies in [0, Bt] on ran A.  It is settled once
+    by ``_nearest_in_order_interval`` on M = ran A + U0 V0, lifted as [[X,
+    G0], [G0*, diag(s0)]], into [0, Shat_M] with Shat_M = [[Bt11 - G+ s+^-1
+    G+*, G0], [G0*, diag(s0)]], the Schur complement of Bt onto M: for X on
+    M, 0 <= X <= Bt exactly when 0 <= X <= Shat_M, since s+ > 0.  So B's
+    sub-cutoff mass, which the kept blocks do not carry, lands in the
+    absolutely continuous part.  With C = Shat_M - X, Bt - X = C + K K* for
+    K = U1 G+ s+^-1/2 + U0 V+ s+^1/2, so the singular part U_M C U_M* + K K*
+    is a sum of Gram products.  The settle's stopping and slack scale stays
+    ||Bt||, and its floor allows the negative eigenvalue mass B was accepted
+    with.  Shat_M bounds the settle only: the terms never read it, since
+    (2^k Lam) : Shat tends to Shat itself, the oracle's formula, and the
+    route would no longer be independent.
 
     ``(tA) : B`` is a rational function of s = 1/t, analytic at 0, so the
     terms expand as T_k = L + c_1 2^-k + c_2 4^-k + ...  Romberg's table
     (Romberg 1955) cancels those error terms order by order.  Only its
     diagonal is read, and R[k][k] is a fixed combination of T_0..T_k
-    (``_richardson_weights``), so the terms are stored, at most
-    ``terms_used`` arrays, and each change of the diagonal is the
-    combination by the difference of two weight rows.
+    (``_richardson_weights``), which depends only on the ratio 1/2 of the
+    points, so the table starts at the first certified term.  The terms
+    are stored, at most ``terms_used`` arrays, and each change of the
+    diagonal is the combination by the difference of two weight rows.
     The schedule stops at the first of two rules, each with stopping
     threshold ``iter_tol`` times trace |B|, the sum of |lambda| over B's kept
     spectrum (trace B plus twice the negative mass validation accepted, so
@@ -408,8 +408,8 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     Two float guards on the plain trace increments can end the schedule
     before k = 40, and then the last clean term is returned unconverged, as
     on hitting the cap.  The trace sequence is increasing, so a drop beyond
-    the round-off scale of the step certifies that the scaled pseudoinverse
-    has started misclassifying eigenvalues.  And once increments fall below
+    the round-off scale of the step certifies that the scaled step has
+    degraded.  And once increments fall below
     that round-off scale, further doubling resolves nothing.  An early stop
     without reaching either target is reported via the ``converged`` flag,
     never silently.
@@ -421,23 +421,26 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
         return AndoLimitResult(PsdMatrix.zero(b.dim), 1, 0.0, True, b)
     # the kept eigenvalues lead, so U = [U1 | U0] is the factorization's own
     lam = dec.eigenvalues[keep]
+    r = lam.size
     u = dec.vectors
     bt = _rotated(u, b.entries)
+    # B's block on ker A is V diag(s) V*, s descending; the pseudoinverse's
+    # cutoff keeps its leading p directions, V+
+    s, v, _ = _eigh(bt[r:, r:])
+    p = int(np.count_nonzero(tol.support(s, b.norm)))
+    g = bt[:r, r:] @ v
+    st = np.block([[bt[:r, :r], g[:, :p]], [g[:, :p].conj().T, np.diag(s[:p])]])
     e = roundoff(b.dim, b.norm)
-    first = _schur(lam, bt)
-    sigma0 = clip_psd(first[1], e, tol, "Schur complement")
-    # Sigma_k >= Sigma_0, so a margin on the first certifies the schedule
-    w = eig_hermitian(sigma0, tol).eigenvalues
-    certified = bool(np.all(w - 2.0 * e > tol.rank_rtol * (b.norm + e)))
-
-    def term(k: int) -> np.ndarray:
-        solved, schur = first if k == 0 else _schur((2.0**k) * lam, bt)
-        if certified:
-            return _term(bt, solved, schur, None)
-        clipped = sigma0 if k == 0 else clip_psd(schur, e, tol, "Schur complement")
-        return _term(bt, solved, schur, pinv(clipped, tol, reference=b.norm).entries)
-
-    current = term(0)
+    # Sigma_k only grows with k, so the first one that clears 2 e certifies
+    # every later term
+    for start in range(ANDO_MAX_DOUBLINGS + 1):
+        first = _schur((2.0**start) * lam, st)
+        with contextlib.suppress(np.linalg.LinAlgError):
+            np.linalg.cholesky(first[1] - 2.0 * e * np.eye(p))
+            break
+    else:
+        raise NumericalError(f"doubling limit: no Schur complement cleared 2 e by 2^{start}")
+    current = _term(st, *first, None)
     threshold = tol.iter_tol * (b.trace + 2.0 * accepted_negative_mass(b))
     increment = 0.0
     converged = False
@@ -447,8 +450,8 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     # Increments below the arithmetic resolution of a step carry no signal;
     # the kernel-split evaluation keeps that resolution flat in k.
     step_noise = 8.0 * roundoff(b.dim, a.norm + b.norm)
-    for k in range(1, ANDO_MAX_DOUBLINGS + 1):
-        nxt = term(k)
+    for k in range(start + 1, ANDO_MAX_DOUBLINGS + 1):
+        nxt = _term(st, *_schur((2.0**k) * lam, st), None)
         raw = float(np.trace(nxt).real) - float(np.trace(current).real)
         if raw < -step_noise:
             # the sequence is increasing, so a genuine drop certifies that the
@@ -460,11 +463,12 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
         if increment <= threshold:
             converged = True
             break
-        weights = _richardson_weights()
+        # Romberg's rows for the terms T_start..T_k
+        weights = _richardson_weights()[k - start - 1:]
         previous_change = change
-        change = _frobenius(_combine(weights[k] - weights[k - 1], terms))
+        change = _frobenius(_combine(weights[1] - weights[0], terms))
         if max(previous_change, change) <= threshold:
-            converged, increment, extrapolated = True, change, _combine(weights[k], terms)
+            converged, increment, extrapolated = True, change, _combine(weights[1], terms)
             break
         if increment <= step_noise:
             break
@@ -472,32 +476,25 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
         limit, noise = current, step_noise
     else:
         limit, noise = extrapolated, _ROMBERG_GROWTH * step_noise
-    # The limit sits in the order interval [0, Bt]; round-off can push the
-    # computed term slightly outside, so settle it back (which validates it).
-    # Its complement Bt - limit comes out clipped PSD and gives the singular
-    # part.
+    # The limit X sits on ran A inside [0, Bt]; round-off can push it
+    # slightly outside, so settle it back (which validates it) on M = ran A
+    # + U0 V0, lifted as [[X, G0], [G0*, diag(s0)]], into [0, Shat_M] with
+    # Shat_M = [[Bt11 - W W*, G0], [G0*, diag(s0)]] and W = G+ s+^-1/2.
+    # Then Bt - X = (Shat_M - X) + K K* for K = U1 W + U0 V+ s+^1/2.
     budget = 1e4 * max(noise, threshold)
     scale, below = _frobenius(bt), accepted_negative_mass(b)
-    upper, basis = bt, u
-    if certified:
-        # settle on ran A into [0, Shat], Shat = Bt11 - W* W with Bt00 =
-        # L00 L00* and W = L00^-1 Bt01; then Bt - X = [C 0; 0 0] + K K* for
-        # K = [W*; L00]
-        r = lam.size
-        try:
-            l00 = np.linalg.cholesky(bt[r:, r:])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"doubling limit: Cholesky of B on ker A failed: {exc}") from exc
-        wt = np.linalg.solve(l00, bt[r:, :r])
-        shat = bt[:r, :r] - wt.conj().T @ wt
-        upper, basis = shat / 2.0 + shat.conj().T / 2.0, u[:, :r]
-        k = basis @ wt.conj().T + u[:, r:] @ l00
-    settled, complement = _nearest_in_order_interval(limit, upper, budget, scale, below, tol,
+    w = g[:, :p] / np.sqrt(s[:p])
+    upper = np.block([[bt[:r, :r] - w @ w.conj().T, g[:, p:]],
+                      [g[:, p:].conj().T, np.diag(s[p:])]])
+    upper = upper / 2.0 + upper.conj().T / 2.0
+    x = upper.copy()
+    x[:r, :r] = limit
+    settled, complement = _nearest_in_order_interval(x, upper, budget, scale, below, tol,
                                                      "doubling limit")
+    basis = np.hstack([u[:, :r], u[:, r:] @ v[:, p:]])
+    k = u[:, :r] @ w + (u[:, r:] @ v[:, :p]) * np.sqrt(s[:p])
     ac = basis @ settled @ basis.conj().T
-    sing = basis @ complement @ basis.conj().T
-    if certified:
-        sing = sing + k @ k.conj().T
+    sing = basis @ complement @ basis.conj().T + k @ k.conj().T
     return AndoLimitResult(psd_by_construction(ac, tol), len(terms), increment, converged,
                            psd_by_construction(sing, tol))
 

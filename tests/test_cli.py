@@ -229,11 +229,11 @@ def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolve
     # diagnostics.  The induced Grams keep their densities' factorizations, so
     # no route factors a Gram: direct's only solves on them are the SVDs of
     # the root-factor stack [X Y]* (4 x 2 twice, 1 x 1) and of V_X* (2 x 2
-    # twice).  ando's doubling certifies its schedule on the one 1-dim Schur
-    # complement of its first term, so its other 11 terms factor none, and
-    # its settle runs on the 4-dim ran A: one 1 x 1 Cholesky of B on ker A,
-    # then clips of the limit and of its complement under B's Schur
-    # complement onto ran A, each as two 2-dim blocks.
+    # twice).  ando factors B's 1-dim block on ker A once, a 1 x 1 Cholesky
+    # certifies its first term's Schur complement, so no term factors one,
+    # and its settle runs on the 4-dim ran A: clips of the limit and of its
+    # complement under B's Schur complement onto ran A, each as two 2-dim
+    # blocks.
     # iterate's congruence is one thin QR of the 9 x 5 stack [diag(lam)^(1/2),
     # F]*, where an SVD took it in three blocks (2, 2 and 1).
     # Revalidating a direct sum, by eigh or eigvalsh, adds a call per block

@@ -67,13 +67,13 @@ def test_ando_eigensolve_count(eigensolves):
     # Romberg diagonal meets it twice in a row after 15 terms, where the
     # plain trace increments need 37
     assert result.converged and result.terms_used == 15
-    # A has rank 8 and keeps the factorization it was validated on.  The
-    # first term factors its Schur complement on the 4-dim kernel of A, whose
-    # smallest eigenvalue certifies every later one, so the other 14 terms
-    # solve against theirs with no eigensolve and form only the 8 x 8 kept
-    # block.  The settle runs on ran A: one Cholesky of B's block on ker A
-    # (size 4) gives the Schur complement Shat of B onto ran A, and the
-    # settling round clips the limit (size 8) and Shat - limit (size 8),
+    # A has rank 8 and keeps the factorization it was validated on.  B's
+    # block on the 4-dim kernel of A is factored once and keeps all 4
+    # directions; a Cholesky of the first term's Schur complement less 2 e
+    # (size 4) certifies every later one, so the 15 terms solve against
+    # theirs with no eigensolve and form only the 8 x 8 kept block.  The
+    # settle runs on ran A, under the Schur complement Shat of B onto ran A:
+    # the settling round clips the limit (size 8) and Shat - limit (size 8),
     # whose spectrum certifies the settled limit, so no eigvalsh runs
     assert _tally(eigensolves) == {("eigh", 4): 1, ("cholesky", 4): 1, ("eigh", 8): 2}
 

@@ -76,10 +76,10 @@ def test_direct_is_near_the_oracle_or_flagged(dim, exponent, index):
 
 
 def test_certified_doubling_limit_settles_in_one_round(monkeypatch):
-    # A + B is invertible, so the schedule is certified and its limit is
-    # formed and settled on ran A alone (rank 42): there is no round-off on
-    # ker A for the settle to remove.  The full 128 x 128 limit took 50
-    # Dykstra rounds, 9.4e-11 * ||B|| off the oracle
+    # A + B is invertible, so B's block on ker A keeps every direction and
+    # the limit is formed and settled on ran A alone (rank 42): there is no
+    # round-off on ker A for the settle to remove.  The full 128 x 128 limit
+    # took 50 Dykstra rounds, 9.4e-11 * ||B|| off the oracle
     a, b, oracle = _draw(128, 8, 0)
     rounds = []
     real = parallel.clip_psd_with_floor
