@@ -60,8 +60,8 @@ class Tolerances:
     def __post_init__(self):
         for name in ("rank_rtol", "psd_slack", "iter_tol", "recon_tol"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
         if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
 

@@ -8,6 +8,7 @@ the matrix-unit basis; the GNS construction factors the densities directly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,8 +190,8 @@ def induced_form(w: Functional, tol: Tolerances = DEFAULT_TOL) -> SesquilinearFo
     values = np.concatenate([np.tile(f.dec.eigenvalues, n) for f, n in zip(factored, dims)])
     order = np.argsort(-values, kind="stable")
     vectors = _direct_sum([np.kron(np.eye(n), f.dec.vectors.conj()) for f, n in zip(factored, dims)])
-    recon = np.sqrt(sum(n * f.recon**2 for f, n in zip(factored, dims)))
-    ortho = np.sqrt(sum(n * f.ortho**2 for f, n in zip(factored, dims)))
+    recon = math.hypot(*(math.sqrt(n) * f.recon for f, n in zip(factored, dims)))
+    ortho = math.hypot(*(math.sqrt(n) * f.ortho for f, n in zip(factored, dims)))
     dec = EigenDecomposition(values[order], vectors[:, order])
     gram = PsdMatrix._checked(gram, _Factorization(dec, recon, ortho))
     return SesquilinearForm(w.algebra.basis_labels(), gram)

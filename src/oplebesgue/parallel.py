@@ -54,60 +54,40 @@ _ROMBERG_GROWTH = 8.3
 _CG_STEPS_PER_DIM = 64
 
 
-def _nearest_in_order_interval(h: np.ndarray, upper: np.ndarray, noise: float, scale: float,
-                               below: float, tol: Tolerances,
-                               context: str) -> tuple[np.ndarray, np.ndarray]:
-    """Move a Hermitian matrix into {X : 0 <= X <= upper} (Dykstra projections).
+def _settle(h: np.ndarray, upper: np.ndarray, noise: float, scale: float, below: float,
+            tol: Tolerances, context: str) -> tuple[np.ndarray, np.ndarray]:
+    """Move a Hermitian matrix into {X : 0 <= X <= upper} in one clip round.
 
-    Returns X and its complement C = upper - X.  The exact value being
-    approximated lies in that set, so only round-off (at most ``noise``)
-    should need correcting; a larger displacement is a genuine failure, as
-    is X below -(psd_slack * ``scale`` + ``below``) after 100 rounds, where
-    ``scale`` is the norm of the problem ``upper`` comes from (at least
-    ||upper||: ``ando_ac_part`` settles on a subspace M of C^n, under the
-    Schur complement of Bt onto M, at the scale ||Bt||) and ``below`` the
-    negative mass its inputs were accepted with.  Rounds stop once X is
-    within 1e-13 * ``scale`` of PSD.  Each round ends on X = upper - C with
-    C clipped PSD, so only X >= 0 is checked, and
-    first without an eigensolve: with Y the round's clip of X + P and Q the
-    previous correction, X = Y + Q + (M - C) up to the rounding of the sums,
-    where M = upper - (Y + Q) is the matrix clipped to C.  Y is PSD up to its
-    rebuild round-off, so lambda_min(X) >= floor(M - C) - ||Q||_F - that
-    round-off - the sums' rounding (``clip_psd_with_floor``).  The round
-    stops on that certificate; only when it falls short does one
-    ``eigvalsh`` of X decide, as it did in every round before.
+    Returns X and its complement C = upper - X, from Y = clip(h) and C =
+    clip(upper - Y): C is PSD by its clip, so X = upper - C <= upper.  The
+    exact value being approximated lies in that set, so only round-off (at
+    most ``noise``) should need correcting; a larger displacement is a
+    genuine failure, as is X below -(psd_slack * ``scale`` + ``below``),
+    where ``scale`` is the norm of the problem ``upper`` comes from (at
+    least ||upper||: ``ando_ac_part`` settles on a subspace M of C^n, under
+    the Schur complement of Bt onto M, at the scale ||Bt||) and ``below``
+    the negative mass its inputs were accepted with.  X >= 0 is judged
+    first without an eigensolve: X = Y + (Z - C) up to the rounding of the
+    sums, where Z = upper - Y is the matrix clipped to C, and Y is PSD up to
+    its rebuild round-off, so lambda_min(X) >= floor(Z - C) - that round-off
+    - the sums' rounding (``clip_psd_with_floor``).  Only when that bound
+    misses the threshold does one ``eigvalsh`` of X decide.
     """
     n = upper.shape[0]
     if n == 0:
         return upper, upper
-    eps = np.finfo(float).eps
-    upper_norm = _frobenius(upper)
-    stop = 1e-13 * scale
-    # a certificate accepted in place of the smallest eigenvalue must also
-    # clear the slack tested below
-    certified = min(stop, tol.psd_slack * scale)
-    x = h
-    p = np.zeros_like(upper)
-    q = np.zeros_like(upper)
-    block = h
-    for _ in range(100):
-        y = clip_psd(block, np.inf, tol, context)
-        p = x + p - y.entries
-        complement, floor = clip_psd_with_floor(upper - (y.entries + q), tol)
-        x = upper - complement.entries
-        q_norm = _frobenius(q)
-        q = y.entries + q - x
-        # the three sums round by at most eps/2 times their operands' norms
-        low = (floor - q_norm - gram_roundoff(n, y.trace)
-               - eps * (upper_norm + y.norm + q_norm + complement.norm))
-        if low >= -certified:
-            break
+    y = clip_psd(h, np.inf, tol, context)
+    complement, floor = clip_psd_with_floor(upper - y.entries, tol)
+    x = upper - complement.entries
+    threshold = -(tol.psd_slack * scale + below)
+    # the two sums round by at most eps/2 times their operands' norms
+    low = (floor - gram_roundoff(n, y.trace)
+           - np.finfo(float).eps * (_frobenius(upper) + y.norm + complement.norm))
+    if low < threshold:
         low = float(_eigvalsh(x)[0])
-        if low >= -stop:
-            break
-        block = x + p
-    if low < -(tol.psd_slack * scale + below):
-        raise NumericalError(f"{context} did not settle above zero ({low:.3e})", residual=-low)
+        if low < threshold:
+            raise NumericalError(f"{context} did not settle above zero ({low:.3e})",
+                                 residual=-low)
     moved = _frobenius(x - h)
     if moved > noise:
         raise NumericalError(
@@ -216,7 +196,7 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     t = _term(st, solved, schur, schur_pinv)
     kept = w[keep]
     inverse = max(1.0 / lam[-1] if lam.size else 0.0, 1.0 / kept[-1] if kept.size else 0.0)
-    noise = (roundoff(a.dim, a.norm + b.norm + small.norm + small.norm**2 * inverse)
+    noise = (roundoff(a.dim, a.norm + b.norm + small.norm + small.norm * (small.norm * inverse))
              + accepted_negative_mass(a) + accepted_negative_mass(b))
     return clip_psd_in_eigenbasis(t, big, noise, tol, "parallel sum")
 
@@ -302,7 +282,7 @@ class AndoLimitResult:
     converged: False when the schedule ended (doubling cap, drop guard or
         resolution stop) before either stopping rule was met.
     sing_part: the singular part B - ac_part, as the settle leaves it: the
-        rotation back of its last clipped complement C on M = ran A + U0 V0,
+        rotation back of its clipped complement C on M = ran A + U0 V0,
         plus the Gram product K K* read off the factorization of B's block
         on ker A (see ``ando_ac_part``), so PSD by construction (all of B
         when A has no kept eigenvalue).
@@ -372,19 +352,19 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     as its r x r kept block.  If no k certifies, NumericalError names the
     doubling limit.
 
-    The settle.  The limit X lies in [0, Bt] on ran A.  It is settled once
-    by ``_nearest_in_order_interval`` on M = ran A + U0 V0, lifted as [[X,
+    The settle.  The limit X lies in [0, Bt] on ran A.  It is settled by
+    one clip round of ``_settle`` on M = ran A + U0 V0, lifted as [[X,
     G0], [G0*, diag(s0)]], into [0, Shat_M] with Shat_M = [[Bt11 - G+ s+^-1
     G+*, G0], [G0*, diag(s0)]], the Schur complement of Bt onto M: for X on
     M, 0 <= X <= Bt exactly when 0 <= X <= Shat_M, since s+ > 0.  So B's
     sub-cutoff mass, which the kept blocks do not carry, lands in the
     absolutely continuous part.  With C = Shat_M - X, Bt - X = C + K K* for
     K = U1 G+ s+^-1/2 + U0 V+ s+^1/2, so the singular part U_M C U_M* + K K*
-    is a sum of Gram products.  The settle's stopping and slack scale stays
-    ||Bt||, and its floor allows the negative eigenvalue mass B was accepted
-    with.  Shat_M bounds the settle only: the terms never read it, since
-    (2^k Lam) : Shat tends to Shat itself, the oracle's formula, and the
-    route would no longer be independent.
+    is a sum of Gram products.  The settle's slack scale stays ||Bt||, and
+    its floor allows the negative eigenvalue mass B was accepted with.
+    Shat_M bounds the settle only: the terms never read it, since (2^k Lam)
+    : Shat tends to Shat itself, the oracle's formula, and the route would
+    no longer be independent.
 
     ``(tA) : B`` is a rational function of s = 1/t, analytic at 0, so the
     terms expand as T_k = L + c_1 2^-k + c_2 4^-k + ...  Romberg's table
@@ -489,8 +469,7 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     upper = upper / 2.0 + upper.conj().T / 2.0
     x = upper.copy()
     x[:r, :r] = limit
-    settled, complement = _nearest_in_order_interval(x, upper, budget, scale, below, tol,
-                                                     "doubling limit")
+    settled, complement = _settle(x, upper, budget, scale, below, tol, "doubling limit")
     basis = np.hstack([u[:, :r], u[:, r:] @ v[:, p:]])
     k = u[:, :r] @ w + (u[:, r:] @ v[:, :p]) * np.sqrt(s[:p])
     ac = basis @ settled @ basis.conj().T

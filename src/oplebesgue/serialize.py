@@ -154,13 +154,14 @@ def parse_problem(data, tol: Tolerances = DEFAULT_TOL) -> ProblemFile:
     for key, value in overrides.items():
         if key not in _TOLERANCE_KEYS:
             raise SchemaError(f"unknown tolerance {key!r}", "$.tolerances")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{key} must be a number", "$.tolerances")
+        expected = (int, "an integer") if key == "max_iter" else ((int, float), "a number")
+        if isinstance(value, bool) or not isinstance(value, expected[0]):
+            raise SchemaError(f"{key} must be {expected[1]}", "$.tolerances")
     try:
         tolerances = dataclasses.replace(
-            tol, **{k: (int(v) if k == "max_iter" else float(v)) for k, v in overrides.items()}
+            tol, **{k: (v if k == "max_iter" else float(v)) for k, v in overrides.items()}
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise SchemaError(str(exc), "$.tolerances") from exc
     payload = data.get("payload")
     if not isinstance(payload, dict):

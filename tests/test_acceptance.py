@@ -299,7 +299,6 @@ def test_criterion_10_scalar_and_diagonal_exactness():
            worst <= 1.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_criterion_11_cli_contract(tmp_path, capsys):
     problem = tmp_path / "pair.json"
     problem.write_text(json.dumps({

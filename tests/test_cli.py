@@ -283,12 +283,22 @@ def test_malformed_json_exits_2(capsys, tmp_path):
         lambda d: d["payload"].update(b=[[[1.0, 0.0]]]),  # dimension mismatch
         lambda d: d.update(tolerances={"rank_rtol": -1.0}),
         lambda d: d.update(tolerances={"unknown_knob": 1.0}),
+        lambda d: d.update(flags=["--tol-rank", "inf"]),
+        lambda d: d.update(tolerances={"rank_rtol": "1e400"}),
+        lambda d: d.update(tolerances={"max_iter": 2.7}),
+        lambda d: d.update(tolerances={"max_iter": "1e400"}),
+        lambda d: d.update(tolerances={"rank_rtol": 10**400}),
     ],
 )
 def test_schema_violations_exit_2(capsys, tmp_path, mutate):
     doc = operator_doc(np.eye(2), np.eye(2))
     mutate(doc)
-    code, _, err = run_cli(capsys, "psum", write_problem(tmp_path, doc))
+    flags = doc.pop("flags", [])
+    # json.dumps writes an overflowing literal as Infinity, which the parser
+    # rejects on its own, so the file carries the literal 1e400 itself
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc).replace('"1e400"', "1e400"), encoding="utf-8")
+    code, _, err = run_cli(capsys, "psum", str(path), *flags)
     assert code == 2
     assert json.loads(err)["error"]["category"] in ("schema", "input")
 
@@ -300,7 +310,6 @@ def test_non_psd_input_exits_2(capsys, tmp_path):
     assert "positive semidefinite" in json.loads(err)["error"]["message"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_failure_exits_3(capsys, tmp_path):
     # each matrix is a valid PSD input, but the sum overflows inside compute
     big = 1.5e308

@@ -279,6 +279,10 @@ def test_tolerances_accept_positive_values(rank_rtol, psd_slack, iter_tol, max_i
         {"iter_tol": 0.0},
         {"recon_tol": -1.0},
         {"max_iter": 0},
+        {"rank_rtol": np.inf},
+        {"psd_slack": np.inf},
+        {"iter_tol": np.inf},
+        {"recon_tol": np.inf},
     ],
 )
 def test_tolerances_reject_non_positive(kwargs):

@@ -21,9 +21,10 @@ from oplebesgue import (
 
 from helpers import random_pair, random_psd
 
-SCALES = [1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12]
+SCALES = [1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12, 1e155, 1e290]
 
-# Distance to s times the unit-scale result, relative to s (||A|| + ||B||).
+# Distance to s times the unit-scale result, relative to s (||A|| + ||B||),
+# taken in the unit frame so that no norm of a scaled result is formed.
 # A scaled run repeats the unit-scale one up to round-off; ando may stop one
 # term apart, and consecutive terms differ by up to iter_tol * tr B.
 RTOL = {"psum": 1e-12, "direct": 1e-12, "iterate": 1e-12, "ando": 1e-10}
@@ -93,4 +94,4 @@ def test_scaling_the_inputs_scales_every_result(case, route):
         assert isinstance(got, tuple), (s, got)
         assert got[1] == unit[1], s
         for x, y in zip(got[0], unit[0]):
-            assert np.linalg.norm(x - s * y) <= RTOL[route] * s * norm, s
+            assert np.linalg.norm(x / s - y) <= RTOL[route] * norm, s
