@@ -483,34 +483,43 @@ def _require_above(w: np.ndarray, noise: float, context: str) -> None:
         )
 
 
-def clip_psd_in_eigenbasis(h: np.ndarray, m: PsdMatrix, noise: float, tol: Tolerances,
-                           context: str) -> PsdMatrix:
-    """U1 C U1* for C the clip of ``h`` (as ``clip_psd``), where ``h`` is given
-    in the leading k = h.shape[0] columns U1 of M's eigenvectors U = [U1 | U0].
-    Only ``h`` is factored, C = V diag(c) V*; the result keeps the
-    factorization [U1 V | U0], zeros on U0.
+def _turned(u: np.ndarray, ortho: float, start: int, v: np.ndarray,
+            v_ortho: float) -> tuple[np.ndarray, float]:
+    """(Q, bound): U with its k = v.shape[0] columns U_k from ``start`` on
+    turned by V, and a bound on Q's unitarity residual.  With u and o those
+    of U and V, the computed U_k V errs by ||E||_F <= e = ``gram_roundoff(k,
+    k g)``, where g = (1 + u) (1 + o) bounds ||U_k||_F^2 ||V||_F^2 / k^2, so
+    Q = U diag(I, V, I) + [0 | E | 0] has residual at most (1 + o) u + o +
+    (2 sqrt(g) + e) e."""
+    k = v.shape[0]
+    g = (1.0 + ortho) * (1.0 + v_ortho)
+    e = gram_roundoff(k, k * g)
+    q = u.copy()
+    q[:, start:start + k] = u[:, start:start + k] @ v
+    return q, (1.0 + v_ortho) * ortho + v_ortho + (2.0 * math.sqrt(g) + e) * e
 
-    With u and o the unitarity residuals of U and V, the computed U1 V is
-    U1 V + E with ||E||_F <= e = ``gram_roundoff(k, k g)``, where g = (1 + u)
-    (1 + o) bounds ||U1||_F^2 ||V||_F^2 / k^2.  So [U1 V | U0] = U diag(V, I)
-    + [E | 0] has unitarity residual at most (1 + o) u + o + (2 sqrt(g) + e) e.
-    """
+
+def clip_psd_in_eigenbasis(h: np.ndarray, m: PsdMatrix, turn: np.ndarray, turn_ortho: float,
+                           noise: float, tol: Tolerances, context: str) -> PsdMatrix:
+    """Q1 C Q1* for C the clip of ``h`` (as ``clip_psd``), where Q = [U1 | U0
+    W] = [Q1 | Q0] is M's eigenbasis U = [U1 | U0] with its trailing columns
+    turned by W = ``turn`` (unitarity residual ``turn_ortho``), and ``h`` is
+    given in Q1.  Only ``h`` is factored, C = V diag(c) V*; the result keeps
+    the factorization [Q1 V | Q0], zeros on Q0, with a unitarity residual
+    bound composed from U's, W's and V's (``_turned``)."""
     w, v, o = _eigh(h / 2.0 + h.conj().T / 2.0)
     _require_above(w, noise, context)
     k = w.size
     u = eig_hermitian(m, tol).vectors
-    u_ortho = m._factorization().ortho
-    g = (1.0 + u_ortho) * (1.0 + o)
-    e = gram_roundoff(k, k * g)
-    # the clipped values stay descending and nonnegative, and the zeros on U0
+    basis, ortho = _turned(u, m._factorization().ortho, m.dim - turn.shape[0], turn, turn_ortho)
+    basis, ortho = _turned(basis, ortho, 0, v, o)
+    # the clipped values stay descending and nonnegative, and the zeros on Q0
     # are left out of the product
     c = np.clip(w, 0.0, None)
-    lifted = u[:, :k] @ v
+    lifted = basis[:, :k]
     product = (lifted * c) @ lifted.conj().T
     entries = _hermitian_part(product, tol)
-    dec = EigenDecomposition(np.concatenate([c, np.zeros(m.dim - k)]),
-                             np.hstack([lifted, u[:, k:]]))
-    ortho = (1.0 + o) * u_ortho + o + (2.0 * math.sqrt(g) + e) * e
+    dec = EigenDecomposition(np.concatenate([c, np.zeros(m.dim - k)]), basis)
     return PsdMatrix._checked(entries, _Factorization(dec, _frobenius(entries - product), ortho))
 
 
@@ -580,13 +589,13 @@ def eig_hermitian(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposi
     return factored.dec
 
 
-def pinv(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL, *, reference: float = 0.0) -> PsdMatrix:
+def pinv(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
     """Moore-Penrose pseudoinverse of a PSD matrix.
 
-    Eigenvalues at most ``rank_rtol`` times the largest (or ``reference``) are zero.
+    Eigenvalues at most ``rank_rtol`` times the largest are zero.
     """
     w = eig_hermitian(m, tol).eigenvalues
-    keep = tol.support(w, reference)
+    keep = tol.support(w)
     return spectral_map(m, np.divide(1.0, w, out=np.zeros_like(w), where=keep), tol)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,13 +17,13 @@ from .core import (
     _eigh,
     _eigvalsh,
     _frobenius,
+    _require_above,
     accepted_negative_mass,
     clip_psd,
     clip_psd_in_eigenbasis,
     clip_psd_with_floor,
     eig_hermitian,
     gram_roundoff,
-    pinv,
     psd_by_construction,
     require_same_dim,
     roundoff,
@@ -120,26 +121,22 @@ def _schur(lam: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return solved, schur / 2.0 + schur.conj().T / 2.0
 
 
-def _term(st: np.ndarray, solved: np.ndarray, schur: np.ndarray,
-          schur_pinv: np.ndarray | None) -> np.ndarray:
-    """T = S - S (D + S)^+ S as its Hermitian part, from ``_schur``'s output.
+def _term(st: np.ndarray, solved: np.ndarray, schur_apply, extra: np.ndarray) -> np.ndarray:
+    """C* T C for T = S - S (D + S)^+ S on the columns C = diag(I, E) of [U1 |
+    U0], E = ``extra``, as its Hermitian part, from ``_schur``'s output.
 
-    With G = h^-1 S10, z0 = Sigma^+ (S01 - G* S1), z1 = h^-1 S1 - G z0 (both
-    read off the one solve, so h is not factored again) and T = S - S1* z1 -
-    S0* z0.  ``schur_pinv`` None means Sigma is known nonsingular: z0 takes
-    one LU of Sigma, and since D + S is then invertible and T = D - D (D +
-    S)^-1 D vanishes off ran D, only T's r x r kept block is formed.
-    Otherwise z0 applies the given pseudoinverse of Sigma's clip and the
-    whole n x n product is formed, which keeps the part of S that Sigma's
-    rank decision dropped.
+    With S1 and S0 the kept and kernel rows of S C and G = h^-1 S10: z0 =
+    Sigma^+ (S0 - G* S1) by ``schur_apply``, z1 = h^-1 S1 - G z0 from the one
+    solve, and C* T C = C* S C - S1* z1 - S0* z0.  T vanishes on the kernel
+    directions Sigma^+ keeps, so E need only hold the ones it drops.
     """
     r = solved.shape[0]
-    cols = r if schur_pinv is None else st.shape[0]
-    s1, s0 = st[:r, :cols], st[r:, :cols]
+    s = np.hstack([st[:, :r], st[:, r:] @ extra])
+    s1, s0 = s[:r], s[r:]
     hinv_f = solved[:, r:]
-    rhs = s0 - hinv_f.conj().T @ s1
-    z0 = np.linalg.solve(schur, rhs) if schur_pinv is None else schur_pinv @ rhs
-    t = st[:cols, :cols] - s1.conj().T @ (solved[:, :cols] - hinv_f @ z0) - s0.conj().T @ z0
+    z0 = schur_apply(s0 - hinv_f.conj().T @ s1)
+    z1 = np.hstack([solved[:, :r], hinv_f @ extra]) - hinv_f @ z0
+    t = np.vstack([s1, extra.conj().T @ s0]) - s1.conj().T @ z1 - s0.conj().T @ z0
     return t / 2.0 + t.conj().T / 2.0
 
 
@@ -153,27 +150,19 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     ||S||.  The evaluation runs in D's own eigenbasis U = [U1 | U0] (kept |
     kernel), read off D's factorization: S is rotated once to U* S U, one
     solve against h gives the dim ker D Schur complement Sigma (``_schur``),
-    and Sigma's clip is the one eigensolve.  When ``tol.support`` keeps every
-    eigenvalue of that clip, D + S is invertible and the product vanishes
-    outside ran D, so only its kept block is formed, from one LU of Sigma
-    (``_term``), and the result U1 C U1* keeps the factorization [U1 V | U0];
-    otherwise the whole rotated product is formed through Sigma's
-    pseudoinverse and clipped.
-
-    The elimination and its rank rule are ``ando_ac_part``'s, on different
-    matrices: this Sigma is the one it solves with, so the pseudoinverse's
-    own rule decides it, where ``ando_ac_part`` decides once on B's block on
-    ker A for Schur complements it never factors.  A margin on Sigma in
-    place of the rule would send a Sigma just above the cutoff through the
-    full product, whose kernel block then carries cond(Sigma) eps ||S|| of
-    error, where the kept block stays at eps ||S||.
+    and Sigma = W diag(w) W* is the one eigensolve.  The pseudoinverse's
+    rule ``tol.support(w, ||S||)`` splits W into the kept W+ and the dropped
+    W0; Sigma^+ is applied as W+ diag(1/w+) W+*, and the product vanishes on
+    U0 W+, so it is formed only on Q1 = [U1 | U0 W0] (``_term``): the r x r
+    kept block when nothing is dropped.  The result Q1 C Q1* keeps the
+    factorization [Q1 V | U0 W+].
 
     Positivity bound.  With G = h^-1 S10 and L = [I 0; G* I], the split
     computes S (D + S)^+ S = Y* diag(h^-1, Sigma^+) Y for Y = L^-1 U* S U.
     Rounding of relative size eps in the rotated operands and the sums
-    enters T at the scale ||A|| + ||B|| + ||S||; rounding in the two solves
-    is amplified by the middle factor, of norm at most ``inverse`` =
-    max(1 / lambda_min,kept(D), 1 / sigma_min,kept(Sigma)), and reaches T
+    enters T at the scale ||A|| + ||B|| + ||S||; rounding in the solve and
+    in Sigma's eigenbasis is amplified by the middle factor, of norm at most
+    ``inverse`` = max(1 / lambda_min,kept(D), 1 / w_min,kept), and reaches T
     through the two outer factors Y, taken at the scale ||S|| of S.  So the
     clip allows eigenvalues down to -roundoff(n, ||A|| + ||B|| + ||S|| +
     ||S||^2 inverse): the dense bound ||S||^2 lambda_max((A + B)^+) read off
@@ -181,7 +170,7 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     is not bounded a priori; it is left to ``roundoff``'s dimension factor.
     The clip also allows the negative eigenvalue mass that validation
     accepted in either input, read off their kept spectra: that mass is the
-    input's, not round-off.
+    input's, not round-off.  Sigma itself must clear -roundoff(n, ||S||).
     """
     require_same_dim(a, b)
     big, small = (a, b) if a.norm >= b.norm else (b, a)
@@ -189,16 +178,16 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     lam = dec.eigenvalues[tol.support(dec.eigenvalues)]
     st = _rotated(dec.vectors, small.entries)
     solved, schur = _schur(lam, st)
-    clipped = clip_psd(schur, roundoff(a.dim, small.norm), tol, "Schur complement")
-    w = eig_hermitian(clipped, tol).eigenvalues
-    keep = tol.support(w, small.norm)
-    schur_pinv = None if keep.all() else pinv(clipped, tol, reference=small.norm).entries
-    t = _term(st, solved, schur, schur_pinv)
-    kept = w[keep]
-    inverse = max(1.0 / lam[-1] if lam.size else 0.0, 1.0 / kept[-1] if kept.size else 0.0)
+    w, v, ortho = _eigh(schur)
+    _require_above(w, roundoff(a.dim, small.norm), "Schur complement")
+    # w descends, so the kept directions lead; the dropped ones lead the turn
+    q = int(np.count_nonzero(tol.support(w, small.norm)))
+    kept = v[:, :q]
+    t = _term(st, solved, lambda rhs: (kept / w[:q]) @ (kept.conj().T @ rhs), v[:, q:])
+    inverse = max(1.0 / lam[-1] if lam.size else 0.0, 1.0 / w[q - 1] if q else 0.0)
     noise = (roundoff(a.dim, a.norm + b.norm + small.norm + small.norm * (small.norm * inverse))
              + accepted_negative_mass(a) + accepted_negative_mass(b))
-    return clip_psd_in_eigenbasis(t, big, noise, tol, "parallel sum")
+    return clip_psd_in_eigenbasis(t, big, np.roll(v, -q, axis=1), ortho, noise, tol, "parallel sum")
 
 
 def variational_value(
@@ -232,7 +221,10 @@ def variational_value(
     n = a.dim
     if n == 0:
         return 0.0
-    am, bm = a.entries, b.entries
+    # exact power-of-two scaling (capped at 2^1000), undone below, keeps squared norms finite
+    ea = min(-math.frexp(max(a.norm, b.norm))[1], 1000)
+    ex = min(-math.frexp(_frobenius(x))[1], 1000)
+    am, bm, x = a.entries * 2.0**ea, b.entries * 2.0**ea, x * 2.0**ex
     m = am + bm
     target = am @ x
     y = np.zeros(n, dtype=np.complex128)
@@ -254,9 +246,9 @@ def variational_value(
         rr, previous = float(np.vdot(r, r).real), rr
         p = r + (rr / previous) * p
     rest = x - y
-    value = float(np.real(np.vdot(rest, am @ rest) + np.vdot(y, bm @ y)))
-    scale = 1.0 + abs(float(np.vdot(x, target).real))
-    grad_norm = 2.0 * _frobenius(m @ y - target)
+    value = math.ldexp(float(np.real(np.vdot(rest, am @ rest) + np.vdot(y, bm @ y))), -ea - 2 * ex)
+    scale = 1.0 + math.ldexp(abs(float(np.vdot(x, target).real)), -ea - 2 * ex)
+    grad_norm = math.ldexp(2.0 * _frobenius(m @ y - target), -ea - ex)
     if grad_norm > 1e-6 * scale:
         raise NumericalError(
             f"variational minimizer did not reach a stationary point "
@@ -420,7 +412,8 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
             break
     else:
         raise NumericalError(f"doubling limit: no Schur complement cleared 2 e by 2^{start}")
-    current = _term(st, *first, None)
+    no_columns = np.zeros((p, 0))
+    current = _term(st, first[0], functools.partial(np.linalg.solve, first[1]), no_columns)
     threshold = tol.iter_tol * (b.trace + 2.0 * accepted_negative_mass(b))
     increment = 0.0
     converged = False
@@ -431,7 +424,8 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     # the kernel-split evaluation keeps that resolution flat in k.
     step_noise = 8.0 * roundoff(b.dim, a.norm + b.norm)
     for k in range(start + 1, ANDO_MAX_DOUBLINGS + 1):
-        nxt = _term(st, *_schur((2.0**k) * lam, st), None)
+        solved, schur = _schur((2.0**k) * lam, st)
+        nxt = _term(st, solved, functools.partial(np.linalg.solve, schur), no_columns)
         raw = float(np.trace(nxt).real) - float(np.trace(current).real)
         if raw < -step_noise:
             # the sequence is increasing, so a genuine drop certifies that the

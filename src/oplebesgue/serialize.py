@@ -44,17 +44,14 @@ class SchemaError(ValueError):
 
 
 def scalar_from_json(value, path: str) -> complex:
-    if isinstance(value, bool):
+    parts = [value, 0.0] if isinstance(value, (int, float)) else value
+    if not (isinstance(parts, list) and len(parts) == 2 and all(
+            isinstance(part, (int, float)) and not isinstance(part, bool) for part in parts)):
         raise SchemaError("expected a number or [re, im] pair", path)
-    if isinstance(value, (int, float)):
-        return complex(value, 0.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in value)
-    ):
-        return complex(value[0], value[1])
-    raise SchemaError("expected a number or [re, im] pair", path)
+    try:
+        return complex(parts[0], parts[1])
+    except OverflowError as exc:
+        raise SchemaError(f"number too large for a float: {exc}", path) from exc
 
 
 def scalar_to_json(value: complex) -> list[float]:

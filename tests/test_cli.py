@@ -303,6 +303,17 @@ def test_schema_violations_exit_2(capsys, tmp_path, mutate):
     assert json.loads(err)["error"]["category"] in ("schema", "input")
 
 
+@pytest.mark.parametrize("cell", [10**400, [0, -(10**400)]], ids=["real", "pair"])
+def test_integer_entry_too_large_for_a_float_exits_2(capsys, tmp_path, cell):
+    doc = operator_doc(np.eye(2), np.eye(2))
+    doc["payload"]["a"][0][0] = cell
+    code, _, err = run_cli(capsys, "psum", write_problem(tmp_path, doc))
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["category"] == "schema"
+    assert error["message"].startswith("$.payload.a[0][0]: ")
+
+
 def test_non_psd_input_exits_2(capsys, tmp_path):
     doc = operator_doc(np.diag([1.0, -1.0]), np.eye(2))
     code, _, err = run_cli(capsys, "psum", write_problem(tmp_path, doc))

@@ -1,6 +1,7 @@
 """Parallel sum: closed form, variational oracle, doubling limit, spectral shortcut."""
 
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from oplebesgue import (
     spectral_ac_of_contraction,
     variational_value,
 )
-from oplebesgue import core, eig_hermitian, parallel, pinv
-from oplebesgue.core import clip_psd, roundoff
+from oplebesgue import core, eig_hermitian, parallel
+from oplebesgue.core import roundoff
 from oplebesgue.lebesgue import arlinskii_iterate, direct_decompose
 
 from helpers import (
@@ -83,24 +84,51 @@ def test_parallel_sum_clears_the_bound_on_an_ill_conditioned_split():
 def test_nonsingular_split_stays_on_the_larger_range(monkeypatch, eigensolves):
     # B is invertible, so the Schur complement on ker A is nonsingular: the
     # result is A's kept eigenvectors times the clipped 6 x 6 block, kept
-    # with A's kernel vectors at eigenvalue zero, and needs no eigensolve of
-    # its own afterwards
+    # with A's kernel vectors, turned by Sigma's eigenvectors, at eigenvalue
+    # zero, and needs no eigensolve of its own afterwards
     rng = np.random.default_rng(26)
     a, b = random_psd(rng, 9, rank=6, scale=10.0), random_psd(rng, 9, rank=9)
     eigensolves.clear()
     solves = _counted_solves(monkeypatch)
     got = parallel_sum(a, b)
     assert [h.shape[0] for _, h in eigensolves] == [3, 6]
-    # one LU of h (rank A = 6) and one of Sigma (dim ker A = 3)
-    assert solves == {6: 1, 3: 1}
+    # one LU of h (rank A = 6); Sigma is applied in its eigenbasis
+    assert solves == {6: 1}
     eigensolves.clear()
     dec, kernel = eig_hermitian(got), eig_hermitian(a).vectors[:, 6:]
     assert eigensolves == []
-    assert np.array_equal(dec.vectors[:, 6:], kernel)
+    # the zero-eigenvalue vectors span ker A
+    assert np.linalg.norm(kernel @ (kernel.conj().T @ dec.vectors[:, 6:]) - dec.vectors[:, 6:]) <= 1e-14
     assert np.array_equal(dec.eigenvalues[6:], np.zeros(3))
     assert np.linalg.norm(got.entries @ kernel) <= 1e-14 * got.norm
     rebuilt = (dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T
     assert np.allclose(rebuilt, got.entries, rtol=0.0, atol=1e-14 * got.norm)
+    oracle = schur_parallel_sum(a.entries, b.entries)
+    assert np.linalg.norm(got.entries - oracle) <= 1e-13 * (a.norm + b.norm)
+
+
+def test_singular_sum_is_formed_off_the_kept_schur_directions(monkeypatch, eigensolves):
+    # ran B meets ran A in 8 dimensions, so Sigma on the 48-dim ker D has
+    # rank 8 and its rank decision drops 40 directions: the product is
+    # formed on ran D and those 40, not on all 64, and Sigma is applied in
+    # its eigenbasis with no solve
+    rng = np.random.default_rng(44)
+    x = rng.normal(size=(64, 16))
+    y = np.hstack([x @ rng.normal(size=(16, 8)), rng.normal(size=(64, 8))])
+    a, b = PsdMatrix(x @ x.T), PsdMatrix(y @ y.T)
+    eigensolves.clear()
+    solves = _counted_solves(monkeypatch)
+    got = parallel_sum(a, b)
+    assert [h.shape[0] for _, h in eigensolves] == [48, 56]
+    assert solves == {16: 1}
+    # the kept factorization [Q1 V | U0 W+] rebuilds the result, and its
+    # unitarity residual stays under the bound it carries
+    factored = got._factorization()
+    vectors, values = factored.dec.vectors, factored.dec.eigenvalues
+    assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(64)) <= factored.ortho
+    assert np.array_equal(values[56:], np.zeros(8))
+    assert np.allclose((vectors * values) @ vectors.conj().T, got.entries, rtol=0.0,
+                       atol=1e-14 * got.norm)
     oracle = schur_parallel_sum(a.entries, b.entries)
     assert np.linalg.norm(got.entries - oracle) <= 1e-13 * (a.norm + b.norm)
 
@@ -123,7 +151,7 @@ def test_window_pair_forms_the_kept_block_on_an_uncertified_schur_complement(eig
     # B's block on ker A is Q0 diag(1, .5, s) Q0*, with s above the rank
     # cutoff but inside the 2 e margin that a certificate on Sigma_0 against
     # the cutoff would need.  parallel_sum keeps every eigenvalue of its one
-    # Sigma and forms the 3 x 3 kept block from one LU of Sigma.  ando takes
+    # Sigma and forms the 3 x 3 kept block through Sigma's eigenbasis.  ando takes
     # its rank decision once, on B's block on ker A, keeps s, and certifies
     # Sigma_k - 2 e by Cholesky at the first term: every term is the kept
     # block, and the settle on ran A runs one round with no eigvalsh.  Sent
@@ -175,6 +203,15 @@ def test_variational_diagonal_hand_value():
     # componentwise scalar minimization: 2*3/(2+3) + 0 = 6/5
     got = variational_value(PsdMatrix(np.diag([2.0, 0.0])), PsdMatrix(np.diag([3.0, 5.0])), [1.0, 1.0])
     assert got == pytest.approx(1.2, abs=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e200, 1e290])
+def test_variational_value_at_wide_scales(scale):
+    # 2s s / (2s + s) + s s / (s + s) = 7/6 s; conjugate gradients square
+    # residual norms, which overflow above about 1e154 unless scaled
+    got = variational_value(PsdMatrix(scale * np.diag([2.0, 1.0])), PsdMatrix(scale * np.eye(2)),
+                            [1.0, 1.0])
+    assert got == pytest.approx(7.0 / 6.0 * scale, rel=1e-14)
 
 
 def test_variational_rejects_bad_vector():
@@ -507,9 +544,9 @@ def test_richardson_weights_are_rombergs_diagonal():
 @pytest.mark.parametrize("seed", range(4))
 def test_one_lu_term_matches_the_pseudoinverse_term(seed):
     # on a certified pair (B nonsingular on ker A with a margin) the kept
-    # block from one LU of Sigma_k is the kept block of the full product
-    # through Sigma_k's clip and pseudoinverse, and that product vanishes on
-    # ker A, up to round-off, along the whole schedule
+    # block from one LU of Sigma_k is the kept block through Sigma_k's
+    # eigenbasis, and the product formed on all of ker A through that
+    # eigenbasis vanishes there, up to round-off, along the whole schedule
     rng = np.random.default_rng([43, seed])
     a, b = random_psd(rng, 12, rank=8, ratio=1e6), random_psd(rng, 12, rank=10, ratio=1e6)
     dec = eig_hermitian(a)
@@ -518,13 +555,18 @@ def test_one_lu_term_matches_the_pseudoinverse_term(seed):
     e = roundoff(b.dim, b.norm)
     for k in (0, 1, 10, 40):
         solved, schur = parallel._schur(2.0**k * lam, bt)
-        clipped = clip_psd(schur, e, DEFAULT_TOL, "Schur complement")
+        w, v, _ = core._eigh(schur)
         if k == 0:
-            w = eig_hermitian(clipped).eigenvalues
             assert np.all(w - 2.0 * e > DEFAULT_TOL.rank_rtol * (b.norm + e))
-        one_lu = parallel._term(bt, solved, schur, None)
-        full = parallel._term(bt, solved, schur, pinv(clipped, reference=b.norm).entries)
-        assert one_lu.shape == (8, 8) and full.shape == (12, 12)
+
+        def eigenbasis(rhs):
+            return (v / w) @ (v.conj().T @ rhs)
+
+        one_lu = parallel._term(bt, solved, partial(np.linalg.solve, schur), np.zeros((4, 0)))
+        kept = parallel._term(bt, solved, eigenbasis, np.zeros((4, 0)))
+        full = parallel._term(bt, solved, eigenbasis, np.eye(4))
+        assert one_lu.shape == kept.shape == (8, 8) and full.shape == (12, 12)
+        assert np.linalg.norm(one_lu - kept) <= e, k
         assert np.linalg.norm(one_lu - full[:8, :8]) <= e, k
         assert np.linalg.norm(full[8:]) <= e, k
 
