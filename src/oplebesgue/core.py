@@ -84,7 +84,11 @@ class PsdMatrix:
     at most ``psd_slack * (1 + max |eigenvalue|)``.  Real input is embedded
     with zero imaginary parts.  The constructor judges that slack on the
     eigenvalues of one ``eigh`` and keeps that eigendecomposition, so the
-    matrix is factored at most once; its norm is kept once first read.
+    matrix is factored at most once; its norm is kept once first read.  An
+    eigenvalue below -roundoff(n, ||M||), accepted only by the slack, is
+    settled there: the matrix is rebuilt from that factorization with its
+    spectrum clipped at zero, so a validated matrix is PSD up to round-off.
+    Input with no such eigenvalue keeps its entries bitwise.
     """
 
     __slots__ = ("_entries", "_factored", "_norm")
@@ -92,7 +96,13 @@ class PsdMatrix:
     def __init__(self, entries, tol: Tolerances = DEFAULT_TOL):
         h = _hermitian_part(entries, tol)
         factored = _factor(h)
-        _require_psd(factored.dec.eigenvalues, tol)
+        w = factored.dec.eigenvalues
+        _require_psd(w, tol)
+        # ||w|| is ||M||_F, read off the spectrum
+        if w.size and w[-1] < -roundoff(w.size, _frobenius(w)):
+            settled = _from_spectrum(np.clip(w, 0.0, None), factored.dec.vectors,
+                                     factored.ortho, tol)
+            h, factored = settled._entries, settled._factored
         h.flags.writeable = False
         self._entries = h
         self._factored = factored
@@ -184,14 +194,20 @@ class EigenDecomposition:
 
 
 def _frobenius(m: np.ndarray) -> float:
-    """Frobenius norm.  ``numpy.linalg.norm`` squares the entries and overflows
-    above about 1.3e154; only then is the array rescaled by a power of two."""
+    """Frobenius norm.  ``numpy.linalg.norm`` squares the entries, so it
+    overflows above about 1.3e154 and loses precision below about 1e-150
+    (reading 0 below about 1e-162); only then are the real and imaginary
+    parts rescaled by the power of two that brings max |entry| into [1/2, 1)."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(m))
-    if math.isfinite(norm):
-        return norm
-    scale = 2.0 ** -math.frexp(float(np.max(np.abs(m))))[1]
-    return float(np.linalg.norm(m * scale)) / scale
+        if 1e-150 <= norm < math.inf or not m.size:
+            return norm
+        parts = (m.real, m.imag) if np.iscomplexobj(m) else (m,)
+        top = max(float(np.max(np.abs(p))) for p in parts)
+        if top == 0.0:
+            return 0.0
+        e = math.frexp(top)[1]
+        return float(np.ldexp(math.hypot(*(np.linalg.norm(np.ldexp(p, -e)) for p in parts)), e))
 
 
 def _hermitian_part(entries, tol: Tolerances) -> np.ndarray:
@@ -228,18 +244,6 @@ def _require_psd(eigenvalues: np.ndarray, tol: Tolerances) -> None:
             f"matrix is not positive semidefinite: smallest eigenvalue "
             f"{smallest:.3e} below slack {-tol.psd_slack * (1.0 + largest):.3e}"
         )
-
-
-def accepted_negative_mass(m: PsdMatrix) -> float:
-    """Sum of |lambda| over the negative eigenvalues of the factorization ``m``
-    keeps: the mass below zero that validation accepted within its slack.
-    Read with no solve; a matrix PSD by construction and not yet factored
-    has none."""
-    factored = m._factored
-    if factored is None:
-        return 0.0
-    w = factored.dec.eigenvalues
-    return float(-np.sum(w[w < 0.0]))
 
 
 def roundoff(dim: int, scale: float) -> float:

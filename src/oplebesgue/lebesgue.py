@@ -22,7 +22,6 @@ from .core import (
     _frobenius,
     _from_spectrum,
     _svd,
-    accepted_negative_mass,
     eig_hermitian,
     psd_by_construction,
     psd_difference,
@@ -144,9 +143,11 @@ def arlinskii_iterate(
     """Iterate B <- B - B : A on the range of B until the trace increment stalls.
 
     The iterates decrease monotonically to the singular part of B relative
-    to A; stopping uses trace(B_n - B_{n+1}) <= iter_tol * trace |B|.  They lie
-    below B, so on M = ran B, where X : A = X_M : S_M(A) with the short
-    S_M(A) = U F F* U* of A to M (``_range_compression``): the iteration
+    to A; stopping uses trace(B_n - B_{n+1}) <= iter_tol * trace B, so a B
+    with no positive trace, zero up to round-off, is all singular at once
+    (as is any B against A = 0).  The iterates lie below B, so on M = ran B,
+    where X : A = X_M : S_M(A) with the short S_M(A) = U F F* U* of A to M
+    (``_range_compression``): the iteration
     starts from diag(lam) against Y = F F*.  The thin QR
     [diag(lam)^(1/2), F]* = Q R gives diag(lam) = G (I - Yc) G* and
     Y = G Yc G* for G = R*, with the contraction Yc = Q_F* Q_F = W diag(y) W*
@@ -161,10 +162,7 @@ def arlinskii_iterate(
     tests judge each against an independent oracle.
     """
     require_same_dim(a, b)
-    if b.norm == 0.0:
-        zero = PsdMatrix.zero(b.dim)
-        return LebesgueDecomposition(zero, zero, Method.ITERATE, 0, 0.0, True)
-    if a.norm == 0.0:
+    if b.trace <= 0.0 or a.norm == 0.0:
         return LebesgueDecomposition(PsdMatrix.zero(b.dim), b, Method.ITERATE, 0, 0.0, True)
     u, lam, factor = _range_compression(a, b, tol)
     q, r = np.linalg.qr(np.hstack([np.diag(np.sqrt(lam)), factor]).conj().T)
@@ -174,10 +172,7 @@ def arlinskii_iterate(
     gw = r.conj().T @ w
     h = u @ gw
     weight = np.sum(np.abs(h) ** 2, axis=0)
-    # tr B + 2 (accepted negative mass) is sum |lambda| over B's kept
-    # spectrum: the negative mass validation accepted must not make the
-    # threshold negative, which no increment could reach
-    threshold = tol.iter_tol * (b.trace + 2.0 * accepted_negative_mass(b))
+    threshold = tol.iter_tol * b.trace
     g = 1.0 - y
     converged = False
     for iterations in range(1, tol.max_iter + 1):

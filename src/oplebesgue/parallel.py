@@ -18,7 +18,6 @@ from .core import (
     _eigvalsh,
     _frobenius,
     _require_above,
-    accepted_negative_mass,
     clip_psd,
     clip_psd_in_eigenbasis,
     clip_psd_with_floor,
@@ -55,19 +54,18 @@ _ROMBERG_GROWTH = 8.3
 _CG_STEPS_PER_DIM = 64
 
 
-def _settle(h: np.ndarray, upper: np.ndarray, noise: float, scale: float, below: float,
-            tol: Tolerances, context: str) -> tuple[np.ndarray, np.ndarray]:
+def _settle(h: np.ndarray, upper: np.ndarray, noise: float, scale: float, tol: Tolerances,
+            context: str) -> tuple[np.ndarray, np.ndarray]:
     """Move a Hermitian matrix into {X : 0 <= X <= upper} in one clip round.
 
     Returns X and its complement C = upper - X, from Y = clip(h) and C =
     clip(upper - Y): C is PSD by its clip, so X = upper - C <= upper.  The
     exact value being approximated lies in that set, so only round-off (at
     most ``noise``) should need correcting; a larger displacement is a
-    genuine failure, as is X below -(psd_slack * ``scale`` + ``below``),
-    where ``scale`` is the norm of the problem ``upper`` comes from (at
-    least ||upper||: ``ando_ac_part`` settles on a subspace M of C^n, under
-    the Schur complement of Bt onto M, at the scale ||Bt||) and ``below``
-    the negative mass its inputs were accepted with.  X >= 0 is judged
+    genuine failure, as is X below -psd_slack * ``scale``, where ``scale``
+    is the norm of the problem ``upper`` comes from (at least ||upper||:
+    ``ando_ac_part`` settles on a subspace M of C^n, under the Schur
+    complement of Bt onto M, at the scale ||Bt||).  X >= 0 is judged
     first without an eigensolve: X = Y + (Z - C) up to the rounding of the
     sums, where Z = upper - Y is the matrix clipped to C, and Y is PSD up to
     its rebuild round-off, so lambda_min(X) >= floor(Z - C) - that round-off
@@ -80,7 +78,7 @@ def _settle(h: np.ndarray, upper: np.ndarray, noise: float, scale: float, below:
     y = clip_psd(h, np.inf, tol, context)
     complement, floor = clip_psd_with_floor(upper - y.entries, tol)
     x = upper - complement.entries
-    threshold = -(tol.psd_slack * scale + below)
+    threshold = -tol.psd_slack * scale
     # the two sums round by at most eps/2 times their operands' norms
     low = (floor - gram_roundoff(n, y.trace)
            - np.finfo(float).eps * (_frobenius(upper) + y.norm + complement.norm))
@@ -168,9 +166,7 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     ||S||^2 inverse): the dense bound ||S||^2 lambda_max((A + B)^+) read off
     the split's own factors.  The growth of Y over ||S|| in the elimination
     is not bounded a priori; it is left to ``roundoff``'s dimension factor.
-    The clip also allows the negative eigenvalue mass that validation
-    accepted in either input, read off their kept spectra: that mass is the
-    input's, not round-off.  Sigma itself must clear -roundoff(n, ||S||).
+    Sigma itself must clear -roundoff(n, ||S||).
     """
     require_same_dim(a, b)
     big, small = (a, b) if a.norm >= b.norm else (b, a)
@@ -185,8 +181,7 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     kept = v[:, :q]
     t = _term(st, solved, lambda rhs: (kept / w[:q]) @ (kept.conj().T @ rhs), v[:, q:])
     inverse = max(1.0 / lam[-1] if lam.size else 0.0, 1.0 / w[q - 1] if q else 0.0)
-    noise = (roundoff(a.dim, a.norm + b.norm + small.norm + small.norm * (small.norm * inverse))
-             + accepted_negative_mass(a) + accepted_negative_mass(b))
+    noise = roundoff(a.dim, a.norm + b.norm + small.norm + small.norm * (small.norm * inverse))
     return clip_psd_in_eigenbasis(t, big, np.roll(v, -q, axis=1), ortho, noise, tol, "parallel sum")
 
 
@@ -324,7 +319,9 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     A, the short of B to ran A (Anderson & Trapp 1975).  The schedule runs
     in A's own eigenbasis U = [U1 | U0] (kept | rest), with Lam the kept
     eigenvalues: B is rotated once to Bt = U* B U.  A reference with no kept
-    eigenvalue makes every term zero.
+    eigenvalue makes every term zero, and a B with a negative trace is zero
+    up to round-off (a route's ac part of a singular pair can be one); either
+    way all of B is singular.
 
     One schedule.  B's block on ker A is factored once, Bt00 = V diag(s) V*,
     and the pseudoinverse's rule ``tol.support(s, ||B||)`` splits V into the
@@ -352,8 +349,7 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     sub-cutoff mass, which the kept blocks do not carry, lands in the
     absolutely continuous part.  With C = Shat_M - X, Bt - X = C + K K* for
     K = U1 G+ s+^-1/2 + U0 V+ s+^1/2, so the singular part U_M C U_M* + K K*
-    is a sum of Gram products.  The settle's slack scale stays ||Bt||, and
-    its floor allows the negative eigenvalue mass B was accepted with.
+    is a sum of Gram products.  The settle's slack scale stays ||Bt||.
     Shat_M bounds the settle only: the terms never read it, since (2^k Lam)
     : Shat tends to Shat itself, the oracle's formula, and the route would
     no longer be independent.
@@ -367,9 +363,7 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     are stored, at most ``terms_used`` arrays, and each change of the
     diagonal is the combination by the difference of two weight rows.
     The schedule stops at the first of two rules, each with stopping
-    threshold ``iter_tol`` times trace |B|, the sum of |lambda| over B's kept
-    spectrum (trace B plus twice the negative mass validation accepted, so
-    that the threshold is never negative):
+    threshold ``iter_tol`` times trace B:
 
     - two consecutive changes of the table's diagonal, ||R[k][k] -
       R[k-1][k-1]||_F, are both at most the threshold: the diagonal is
@@ -389,7 +383,7 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     require_same_dim(a, b)
     dec = eig_hermitian(a, tol)
     keep = tol.support(dec.eigenvalues)
-    if not keep.any():
+    if not keep.any() or b.trace < 0.0:
         return AndoLimitResult(PsdMatrix.zero(b.dim), 1, 0.0, True, b)
     # the kept eigenvalues lead, so U = [U1 | U0] is the factorization's own
     lam = dec.eigenvalues[keep]
@@ -414,7 +408,7 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
         raise NumericalError(f"doubling limit: no Schur complement cleared 2 e by 2^{start}")
     no_columns = np.zeros((p, 0))
     current = _term(st, first[0], functools.partial(np.linalg.solve, first[1]), no_columns)
-    threshold = tol.iter_tol * (b.trace + 2.0 * accepted_negative_mass(b))
+    threshold = tol.iter_tol * b.trace
     increment = 0.0
     converged = False
     terms = [current]
@@ -456,14 +450,13 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     # Shat_M = [[Bt11 - W W*, G0], [G0*, diag(s0)]] and W = G+ s+^-1/2.
     # Then Bt - X = (Shat_M - X) + K K* for K = U1 W + U0 V+ s+^1/2.
     budget = 1e4 * max(noise, threshold)
-    scale, below = _frobenius(bt), accepted_negative_mass(b)
     w = g[:, :p] / np.sqrt(s[:p])
     upper = np.block([[bt[:r, :r] - w @ w.conj().T, g[:, p:]],
                       [g[:, p:].conj().T, np.diag(s[p:])]])
     upper = upper / 2.0 + upper.conj().T / 2.0
     x = upper.copy()
     x[:r, :r] = limit
-    settled, complement = _settle(x, upper, budget, scale, below, tol, "doubling limit")
+    settled, complement = _settle(x, upper, budget, _frobenius(bt), tol, "doubling limit")
     basis = np.hstack([u[:, :r], u[:, r:] @ v[:, p:]])
     k = u[:, :r] @ w + (u[:, r:] @ v[:, :p]) * np.sqrt(s[:p])
     ac = basis @ settled @ basis.conj().T

@@ -1,6 +1,7 @@
 """Command line contract: parsing, reports, exit codes, determinism, selftest."""
 
 import json
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -42,6 +43,19 @@ def operator_doc(a, b, **extra):
     doc = {"version": "1", "kind": "operator_pair", "payload": {"a": encode(a), "b": encode(b)}}
     doc.update(extra)
     return doc
+
+
+def form_doc(basis):
+    """A form pair on ``basis`` with 2 x 2 identity Grams."""
+    eye = operator_doc(np.eye(2), np.eye(2))["payload"]["a"]
+    return {"kind": "form_pair", "payload": {"basis": basis, "t": eye, "w": eye}}
+
+
+def functional_doc(block_dims, count):
+    """A functional pair on ``block_dims`` with ``count`` 2 x 2 identity densities each."""
+    eye = operator_doc(np.eye(2), np.eye(2))["payload"]["a"]
+    return {"kind": "functional_pair",
+            "payload": {"block_dims": block_dims, "w": [eye] * count, "v": [eye] * count}}
 
 
 def test_psum_operator_pair(capsys):
@@ -274,6 +288,69 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert "invalid JSON" in json.loads(err)["error"]["message"]
 
 
+def _cell_neither_number_nor_pair(d):
+    d["payload"]["a"][0][0] = "1.0"
+    d["expect"] = "$.payload.a[0][0]"
+
+
+def _ragged_row(d):
+    d["payload"]["a"][1].pop()
+    d["expect"] = "$.payload.a[1]"
+
+
+def _nan_literal(d):
+    # json.dumps writes these as the literals NaN and Infinity
+    d["payload"]["a"][0][0] = [math.nan, 0.0]
+    d["expect"] = "$"
+
+
+def _infinity_literal(d):
+    d["payload"]["b"][1][1] = [math.inf, 0.0]
+    d["expect"] = "$"
+
+
+def _top_level_array(d):
+    d.update(body=[d["payload"]], expect="$")
+
+
+def _tolerances_not_an_object(d):
+    d.update(tolerances=[["iter_tol", 1e-9]], expect="$.tolerances")
+
+
+def _payload_not_an_object(d):
+    d.update(payload=[d["payload"]], expect="$.payload")
+
+
+def _basis_not_all_strings(d):
+    d.update(form_doc(["x", 2]), expect="$.payload.basis")
+
+
+def _basis_not_matching_the_gram(d):
+    d.update(form_doc(["x"]), expect="$.payload")
+
+
+def _block_dims_not_positive(d):
+    d.update(functional_doc([2, 0], 2), expect="$.payload.block_dims")
+
+
+def _too_few_densities(d):
+    d.update(functional_doc([2, 2], 1), expect="$.payload.w")
+
+
+def _density_of_the_wrong_size(d):
+    d.update(functional_doc([2, 3], 2), expect="$.payload.w[1]")
+
+
+# Mutations that name the JSON path of the violation in "expect"; "body"
+# replaces the whole document
+SCHEMA_VIOLATIONS_AT_A_PATH = [
+    _cell_neither_number_nor_pair, _ragged_row, _nan_literal, _infinity_literal,
+    _top_level_array, _tolerances_not_an_object, _payload_not_an_object,
+    _basis_not_all_strings, _basis_not_matching_the_gram, _block_dims_not_positive,
+    _too_few_densities, _density_of_the_wrong_size,
+]
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -288,19 +365,27 @@ def test_malformed_json_exits_2(capsys, tmp_path):
         lambda d: d.update(tolerances={"max_iter": 2.7}),
         lambda d: d.update(tolerances={"max_iter": "1e400"}),
         lambda d: d.update(tolerances={"rank_rtol": 10**400}),
+        *SCHEMA_VIOLATIONS_AT_A_PATH,
     ],
 )
 def test_schema_violations_exit_2(capsys, tmp_path, mutate):
     doc = operator_doc(np.eye(2), np.eye(2))
     mutate(doc)
     flags = doc.pop("flags", [])
+    expect = doc.pop("expect", None)
+    body = doc.pop("body", doc)
     # json.dumps writes an overflowing literal as Infinity, which the parser
     # rejects on its own, so the file carries the literal 1e400 itself
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps(doc).replace('"1e400"', "1e400"), encoding="utf-8")
+    path.write_text(json.dumps(body).replace('"1e400"', "1e400"), encoding="utf-8")
     code, _, err = run_cli(capsys, "psum", str(path), *flags)
     assert code == 2
-    assert json.loads(err)["error"]["category"] in ("schema", "input")
+    error = json.loads(err)["error"]
+    if expect is None:
+        assert error["category"] in ("schema", "input")
+    else:
+        assert error["category"] == "schema"
+        assert error["message"].startswith(f"{expect}: "), error["message"]
 
 
 @pytest.mark.parametrize("cell", [10**400, [0, -(10**400)]], ids=["real", "pair"])

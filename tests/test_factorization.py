@@ -25,7 +25,7 @@ from oplebesgue.core import roundoff, spectral_map
 from oplebesgue.lebesgue import arlinskii_iterate, direct_decompose
 from oplebesgue.parallel import ando_ac_part
 
-from helpers import random_contraction, random_psd
+from helpers import random_contraction, random_psd, random_unitary
 
 
 def _tally(calls):
@@ -246,10 +246,38 @@ def test_overflowing_power_of_two_scaling_is_rejected(entry, scalar):
 
 def test_power_of_two_scaling_keeps_the_psd_slack_check():
     # the slack grows with the largest eigenvalue, so a negative eigenvalue
-    # within it at one scale can fall outside it at a larger one
-    m = PsdMatrix([[-0.9e-10]])
+    # within it at one scale falls outside it at a larger one; the validated
+    # matrix stores it settled at zero, and the raw scaled array is rejected
+    raw = np.array([[-0.9e-10]])
+    assert np.array_equal(PsdMatrix(raw).entries, [[0.0]])
     with pytest.raises(ValueError, match="not positive semidefinite"):
-        m * 2.0**20
+        PsdMatrix(raw * 2.0**20)
+
+
+def test_negative_eigenvalue_accepted_by_the_slack_is_settled_on_its_factorization(eigensolves):
+    # -5e-11 is inside the slack but far below roundoff(2, 1) = 1.1e-13: the
+    # constructor clips it on the factorization it validated (one eigh per
+    # 1 x 1 block of the diagonal input, and no other solve), and keeps that
+    # factorization, which rebuilds the stored entries
+    m = PsdMatrix(np.diag([1.0, -5e-11]))
+    assert _tally(eigensolves) == {("eigh", 1): 2}
+    assert np.array_equal(m.entries, np.diag([1.0, 0.0]))
+    dec = eig_hermitian(m)
+    assert np.array_equal(dec.eigenvalues, [1.0, 0.0])
+    assert np.array_equal((dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T, m.entries)
+    assert _tally(eigensolves) == {("eigh", 1): 2}
+
+
+def test_round_off_negative_eigenvalues_keep_the_entries_bitwise():
+    # a rank-deficient product has eigenvalues a round-off below zero, which
+    # the constructor leaves in place: it stores the input's Hermitian part
+    rng = np.random.default_rng(8)
+    q = random_unitary(rng, 9)
+    raw = (q * np.concatenate([rng.uniform(0.1, 1.0, 4), np.zeros(5)])) @ q.conj().T
+    m = PsdMatrix(raw)
+    smallest = eig_hermitian(m).eigenvalues[-1]
+    assert -roundoff(9, m.norm) < smallest < 0.0
+    assert np.array_equal(m.entries, raw / 2.0 + raw.conj().T / 2.0)
 
 
 def _derived(kind):

@@ -232,10 +232,11 @@ def test_a_six_order_ratio_on_a_shared_line_is_bounded_and_flagged():
 
 
 def test_a_slightly_negative_trace_of_b_still_stops():
-    # B = diag(-1e-11, 0) is PSD within the constructor's slack, with no kept
-    # eigenvalue and tr B < 0.  Fails when the stopping threshold
-    # iter_tol * tr B is not clamped at zero: no increment reaches it, so
-    # every one of max_iter steps runs and the result is flagged.
+    # B = diag(-1e-11, 0) is PSD within the constructor's slack, which
+    # settles it to zero, so tr B is not negative.  Fails when an accepted
+    # negative eigenvalue reaches the stopping threshold iter_tol * tr B: no
+    # increment reaches a negative one, so every one of max_iter steps runs
+    # and the result is flagged.
     a = PsdMatrix.identity(2)
     b = PsdMatrix(np.diag([-1e-11, 0.0]))
     dec = arlinskii_iterate(a, b, Tolerances(max_iter=10**5))

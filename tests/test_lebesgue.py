@@ -23,7 +23,7 @@ from oplebesgue import (
 from oplebesgue import core, lebesgue
 from oplebesgue.core import psd_difference, roundoff
 
-from helpers import anderson_trapp_ac, random_contraction, random_pair, random_psd
+from helpers import anderson_trapp_ac, random_contraction, random_pair, random_psd, random_unitary
 
 
 def test_step_fixes_singular_operand():
@@ -318,13 +318,12 @@ def test_factored_parallel_sum_identity():
 @pytest.mark.parametrize("swapped", [False, True], ids=["b-negative", "a-negative"])
 @pytest.mark.parametrize("call", ["parallel_sum", "direct", "iterate", "ando"])
 def test_negative_mass_inside_the_slack_is_carried_through(call, swapped):
-    # PsdMatrix accepts diag(-1e-11, 0) within its slack, so every call takes
-    # the pair, and the clip allowance and the settle's floor make room for
-    # the mass the constructor accepted.  A : B and the ac part are zero up
-    # to that slack (one operand is), as the oracle, which counts no
-    # negative mass as range, says too; the parts sum to B.  The iterative
-    # routes stop at iter_tol trace |B|, which the negative trace does not
-    # make negative, so every route converges
+    # PsdMatrix accepts diag(-1e-11, 0) within its slack and settles it to
+    # zero where it accepts it, so every call takes the pair as PSD.  A : B
+    # and the ac part are zero up to the slack (one operand is), as the
+    # oracle says too; the parts sum to B.  The settled B has no negative
+    # trace, so the iterative routes' threshold iter_tol trace B is never
+    # negative and every route converges
     a, b = PsdMatrix(np.eye(2)), PsdMatrix(np.diag([-1e-11, 0.0]))
     if swapped:
         a, b = b, a
@@ -337,6 +336,24 @@ def test_negative_mass_inside_the_slack_is_carried_through(call, swapped):
     assert np.linalg.norm(dec.ac.entries) <= slack
     assert np.linalg.norm(dec.ac.entries - anderson_trapp_ac(a.entries, b.entries)) <= slack
     assert np.linalg.norm(dec.ac.entries + dec.sing.entries - b.entries) <= slack
+
+
+@pytest.mark.parametrize("call", ["iterate", "ando"])
+def test_a_derived_part_with_a_negative_trace_is_all_singular(call):
+    # ran A and ran B meet only in 0, so iterate's ac part of B is round-off
+    # alone, here with trace -6.1e-16 and negative eigenvalues far below its
+    # own round-off: it is built, not validated.  Decomposed again, it is
+    # zero up to round-off, so both routes stop at once with all of it
+    # singular, where a threshold of iter_tol times its trace is negative
+    # and no increment could reach it
+    q = random_unitary(np.random.default_rng(2), 4)
+    a = PsdMatrix((q[:, :2] * [1.0, 0.5]) @ q[:, :2].conj().T)
+    b = PsdMatrix((q[:, 2:] * [1.0, 0.5]) @ q[:, 2:].conj().T)
+    part = arlinskii_iterate(a, b).ac
+    assert part.trace < 0.0
+    dec = decompose(a, part, call, Tolerances(max_iter=10**4))
+    assert dec.converged and dec.iterations <= 1
+    assert dec.ac.norm == 0.0 and dec.sing is part
 
 
 def test_direct_invertible_reference_has_no_singular_part():

@@ -205,13 +205,15 @@ def test_variational_diagonal_hand_value():
     assert got == pytest.approx(1.2, abs=1e-9)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e160, 1e200, 1e290])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1.0, 1e160, 1e200, 1e290])
 def test_variational_value_at_wide_scales(scale):
     # 2s s / (2s + s) + s s / (s + s) = 7/6 s; conjugate gradients square
-    # residual norms, which overflow above about 1e154 unless scaled
+    # residual norms, which overflow above about 1e154 and underflow below
+    # about 1e-154 unless scaled.  The ratio is compared, since approx's
+    # absolute tolerance would pass any value at a tiny scale
     got = variational_value(PsdMatrix(scale * np.diag([2.0, 1.0])), PsdMatrix(scale * np.eye(2)),
                             [1.0, 1.0])
-    assert got == pytest.approx(7.0 / 6.0 * scale, rel=1e-14)
+    assert got / scale == pytest.approx(7.0 / 6.0, rel=1e-14)
 
 
 def test_variational_rejects_bad_vector():
@@ -418,6 +420,22 @@ def test_settle_without_its_certificate_ends_bitwise_the_same(monkeypatch, draw)
     assert np.array_equal(exact.ac_part.entries, certified.ac_part.entries)
     assert np.array_equal(exact.sing_part.entries, certified.sing_part.entries)
     assert (exact.terms_used, exact.converged) == (certified.terms_used, certified.converged)
+
+
+def test_settle_raises_when_its_upper_bound_is_not_positive():
+    # the settled X = upper - clip(upper - clip(h)) keeps upper's eigenvalue
+    # -1e-3, far below -psd_slack * scale, and the exact check refuses it
+    with pytest.raises(NumericalError, match="did not settle above zero") as info:
+        parallel._settle(np.zeros((2, 2)), np.diag([1.0, -1e-3]), 1.0, 1.0, DEFAULT_TOL, "limit")
+    assert info.value.residual == pytest.approx(1e-3)
+
+
+def test_settle_raises_when_it_moves_the_matrix_beyond_its_noise():
+    # h = 2 I lies a distance sqrt(2) outside [0, I] (Frobenius), which the
+    # settle must cross to reach X = I: more than the noise 1e-12 allows
+    with pytest.raises(NumericalError, match="violated its order bounds") as info:
+        parallel._settle(2.0 * np.eye(2), np.eye(2), 1e-12, 1.0, DEFAULT_TOL, "limit")
+    assert info.value.residual == pytest.approx(np.sqrt(2.0))
 
 
 @pytest.mark.parametrize("exponent", [3, 6, 8, 10, 12])

@@ -21,7 +21,7 @@ from oplebesgue import (
 
 from helpers import random_pair, random_psd
 
-SCALES = [1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12, 1e155, 1e290]
+SCALES = [1e-290, 1e-200, 1e-155, 1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12, 1e155, 1e290]
 
 # Distance to s times the unit-scale result, relative to s (||A|| + ||B||),
 # taken in the unit frame so that no norm of a scaled result is formed.
