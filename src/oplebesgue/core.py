@@ -585,12 +585,18 @@ def eig_hermitian(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposi
             f"{tol.recon_tol * scale:.3e}",
             residual=factored.recon,
         )
-    if factored.ortho > tol.recon_tol:
-        raise NumericalError(
-            f"eigenvector unitarity residual {factored.ortho:.3e} exceeds {tol.recon_tol:.3e}",
-            residual=factored.ortho,
-        )
+    require_unitary(factored.ortho, tol)
     return factored.dec
+
+
+def require_unitary(ortho: float, tol: Tolerances = DEFAULT_TOL) -> None:
+    """An eigenbasis's unitarity residual ``ortho`` = ||V* V - I||_F is at
+    most ``recon_tol``; above it, NumericalError carries the residual."""
+    if ortho > tol.recon_tol:
+        raise NumericalError(
+            f"eigenvector unitarity residual {ortho:.3e} exceeds {tol.recon_tol:.3e}",
+            residual=ortho,
+        )
 
 
 def pinv(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    EigenDecomposition,
     NumericalError,
     PsdMatrix,
     Tolerances,
@@ -27,6 +28,7 @@ from .core import (
     psd_difference,
     range_projection,
     require_same_dim,
+    require_unitary,
     roundoff,
     spectral_map,
     support_roots,
@@ -86,18 +88,27 @@ class AuxiliarySpace:
 
     embed is the dim x rank factor with embed @ embed* = C; a_tilde and
     b_tilde are the positive contractions carrying A and B back through the
-    embedding, with a_tilde + b_tilde = I.  b_tilde is built on first use on
-    its spectrum ``_complement`` over a_tilde's eigenvectors, under ``tol``.
+    embedding, with a_tilde + b_tilde = I.  Both are built on first use,
+    under ``tol``, on a_tilde's spectrum ``_spectrum`` = (mu, Q), whose
+    eigenvectors have the unitarity residual ``_ortho``: a_tilde with mu,
+    b_tilde with its own spectrum ``_complement``.
     """
 
     rank: int
     embed: np.ndarray
-    a_tilde: PsdMatrix
     tol: Tolerances = field(repr=False)
+    _spectrum: EigenDecomposition = field(repr=False)
+    _ortho: float = field(repr=False)
     _complement: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.embed.flags.writeable = False
+
+    @cached_property
+    def a_tilde(self) -> PsdMatrix:
+        """Q diag(mu) Q*, kept with that factorization."""
+        return _from_spectrum(self._spectrum.eigenvalues, self._spectrum.vectors, self._ortho,
+                              self.tol)
 
     @cached_property
     def b_tilde(self) -> PsdMatrix:
@@ -245,8 +256,8 @@ def auxiliary_space(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -
     # sigma descends, so a_tilde keeps Q's column order; J*'s factors are freed first
     del x, v, uh
     mu = np.pad(sigma**2, (0, rank - sigma.size))
-    a_tilde = _from_spectrum(mu, q, _frobenius(q.conj().T @ q - np.eye(rank)), tol)
-    return AuxiliarySpace(rank, embed, a_tilde, tol, complement)
+    ortho = _frobenius(q.conj().T @ q - np.eye(rank))
+    return AuxiliarySpace(rank, embed, tol, EigenDecomposition(mu, q), ortho, complement)
 
 
 def direct_decompose(
@@ -262,13 +273,15 @@ def direct_decompose(
     Both are Gram products X X*, so they are positive by construction (no
     validating eigensolve) and carry round-off of their own size.  Kernel
     membership uses the relative rank cutoff, so a_tilde that vanishes
-    entirely makes all of B singular.
+    entirely makes all of B singular.  Only a_tilde's spectrum (mu, V) is
+    read, so its n x n entries are never built.
     """
     aux = auxiliary_space(a, b, tol)
-    dec = eig_hermitian(aux.a_tilde, tol)
-    kept = int(np.count_nonzero(tol.support(dec.eigenvalues)))
-    g, nu = aux.embed @ dec.vectors, aux._complement[:kept]
-    del aux, dec
+    require_unitary(aux._ortho, tol)
+    mu, v = aux._spectrum.eigenvalues, aux._spectrum.vectors
+    kept = int(np.count_nonzero(tol.support(mu)))
+    g, nu = aux.embed @ v, aux._complement[:kept]
+    del aux
     sing = psd_by_construction(g[:, kept:] @ g[:, kept:].conj().T, tol)
     ac = psd_by_construction((g[:, :kept] * nu) @ g[:, :kept].conj().T, tol)
     return LebesgueDecomposition(ac, sing, Method.DIRECT, 0, 0.0, True)

@@ -38,7 +38,9 @@ __all__ = [
     "variational_value",
 ]
 
-# Doubling schedule cap for the increasing limit of (2^k A) : B.
+# Doublings past the first exponent k0 of the increasing limit of (2^k A) : B,
+# where 2^k0 lambda_min,kept(A) first reaches ||B||_F: the schedule evaluates
+# at most ANDO_MAX_DOUBLINGS + 1 terms, k = k0..k0 + ANDO_MAX_DOUBLINGS.
 ANDO_MAX_DOUBLINGS = 40
 
 # Bound on the absolute sum of a row of `_richardson_weights`, by which a
@@ -261,13 +263,15 @@ class AndoLimitResult:
         Romberg-extrapolated limit when the table settled first, otherwise
         the last term of the schedule.
     terms_used: number of doubling terms (2^k A) : B evaluated along the
-        schedule, from the first certified one; one when A has no kept
-        eigenvalue and every term is zero.
+        schedule, from the first certified one, at most
+        ``ANDO_MAX_DOUBLINGS + 1``; one when A has no kept eigenvalue and
+        every term is zero.
     final_increment: the last change of the table's diagonal (Frobenius
         norm) when the extrapolated limit is returned, otherwise the trace
         increment between the last two terms.
-    converged: False when the schedule ended (doubling cap, drop guard or
-        resolution stop) before either stopping rule was met.
+    converged: False when the schedule ended (its last exponent k0 +
+        ``ANDO_MAX_DOUBLINGS``, drop guard or resolution stop) before either
+        stopping rule was met.
     sing_part: the singular part B - ac_part, as the settle leaves it: the
         rotation back of its clipped complement C on M = ran A + U0 V0,
         plus the Gram product K K* read off the factorization of B's block
@@ -285,7 +289,8 @@ class AndoLimitResult:
 @functools.cache
 def _richardson_weights() -> np.ndarray:
     """Row k: the weights by which Romberg's diagonal entry R[k][k] combines
-    the doubling terms T_0..T_k, zero past k, for k up to the cap.
+    the doubling terms T_0..T_k, zero past k, for k up to
+    ``ANDO_MAX_DOUBLINGS``, with terms counted from the schedule's first.
 
     Romberg's table, R[k][0] = T_k and R[k][m] = (2^m R[k][m-1] -
     R[k-1][m-1]) / (2^m - 1), is Neville's scheme for the polynomial in x
@@ -313,7 +318,7 @@ def _combine(weights: np.ndarray, terms: list[np.ndarray]) -> np.ndarray:
 
 
 def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> AndoLimitResult:
-    """Increasing limit of (n A) : B along n = 2^k, k = 0..40, extrapolated.
+    """Increasing limit of (n A) : B along n = 2^k from k0, extrapolated.
 
     The limit is the maximal part of B absolutely continuous with respect to
     A, the short of B to ran A (Anderson & Trapp 1975).  The schedule runs
@@ -332,14 +337,25 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     The rank decision is taken on Bt00, not on a Schur complement: Sigma_k =
     diag(s+) - G+* h_k^-1 G+, with h_k = 2^k Lam + Bt11, only grows with k,
     so a direction under the cutoff at k = 0 can clear it later.  For the
-    same reason the schedule starts at the first k <= 40 at which
+    same reason the schedule starts at the first k >= k0 at which
     ``cholesky(Sigma_k - 2 e I)`` succeeds, e = roundoff(n, ||B||) the
     round-off bound of a computed Sigma_k: that one test certifies every
     later term, and the certifying solve is the first term's.  From there
     every term takes one LU of h_k and one of Sigma_k, with no eigensolve,
     and since T_k vanishes off ran A, every term is formed and extrapolated
-    as its r x r kept block.  If no k certifies, NumericalError names the
-    doubling limit.
+    as its r x r kept block.  If no k <= k0 + ``ANDO_MAX_DOUBLINGS``
+    certifies, NumericalError names the doubling limit.
+
+    The window.  The expansion below holds once 2^k Lam exceeds ||B||, so
+    the schedule starts at k0 = ceil(log2 ||B||_F - log2 lambda_min), with
+    lambda_min = Lam's smallest entry (k0 = 0 when B = 0; k0 may be
+    negative), the difference of the logs standing for a ratio that could
+    overflow or underflow, and it evaluates at most ``ANDO_MAX_DOUBLINGS +
+    1`` terms from there.  D_k = 2^k Lam is formed by ``np.ldexp``, exactly.
+    So A -> 4^m A only shifts k0 by 2m, and B -> 4^m B scales every term,
+    threshold and guard by 4^m: the result is bitwise invariant under the
+    first and bitwise covariant under the second (4^m keeps the square
+    roots of the settle exact as well).
 
     The settle.  The limit X lies in [0, Bt] on ran A.  It is settled by
     one clip round of ``_settle`` on M = ran A + U0 V0, lifted as [[X,
@@ -372,13 +388,16 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
       returned, converged.
 
     Two float guards on the plain trace increments can end the schedule
-    before k = 40, and then the last clean term is returned unconverged, as
-    on hitting the cap.  The trace sequence is increasing, so a drop beyond
-    the round-off scale of the step certifies that the scaled step has
-    degraded.  And once increments fall below
-    that round-off scale, further doubling resolves nothing.  An early stop
-    without reaching either target is reported via the ``converged`` flag,
-    never silently.
+    before its last exponent, and then the last clean term is returned
+    unconverged, as on reaching that exponent.  Both compare with the
+    round-off scale of a step, 8 roundoff(n, 2 ||B||): every T_k lies in
+    [0, Bt11], and from k0 on h_k is at least about ||B|| I, so the solve's
+    rounding reaches T_k at the scale ||B||, and an increment is the
+    difference of two terms.  The trace sequence is increasing, so a drop
+    beyond that scale certifies that the scaled step has degraded.  And
+    once increments fall below it, further doubling resolves nothing.  An
+    early stop without reaching either target is reported via the
+    ``converged`` flag, never silently.
     """
     require_same_dim(a, b)
     dec = eig_hermitian(a, tol)
@@ -397,10 +416,14 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     g = bt[:r, r:] @ v
     st = np.block([[bt[:r, :r], g[:, :p]], [g[:, :p].conj().T, np.diag(s[:p])]])
     e = roundoff(b.dim, b.norm)
+    # the series in 2^-k holds once 2^k lambda_min,kept(A) exceeds ||B||; the
+    # difference of the logs cannot overflow or underflow as their ratio can
+    k0 = math.ceil(math.log2(b.norm) - math.log2(lam[-1])) if b.norm > 0.0 else 0
+    stop = k0 + ANDO_MAX_DOUBLINGS + 1
     # Sigma_k only grows with k, so the first one that clears 2 e certifies
     # every later term
-    for start in range(ANDO_MAX_DOUBLINGS + 1):
-        first = _schur((2.0**start) * lam, st)
+    for start in range(k0, stop):
+        first = _schur(np.ldexp(lam, start), st)
         with contextlib.suppress(np.linalg.LinAlgError):
             np.linalg.cholesky(first[1] - 2.0 * e * np.eye(p))
             break
@@ -414,11 +437,11 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     terms = [current]
     change = np.inf
     extrapolated = None
-    # Increments below the arithmetic resolution of a step carry no signal;
-    # the kernel-split evaluation keeps that resolution flat in k.
-    step_noise = 8.0 * roundoff(b.dim, a.norm + b.norm)
-    for k in range(start + 1, ANDO_MAX_DOUBLINGS + 1):
-        solved, schur = _schur((2.0**k) * lam, st)
+    # Increments below the arithmetic resolution of a step carry no signal:
+    # every term sits at the scale ||B||, so that resolution is flat in k
+    step_noise = 8.0 * roundoff(b.dim, 2.0 * b.norm)
+    for k in range(start + 1, stop):
+        solved, schur = _schur(np.ldexp(lam, k), st)
         nxt = _term(st, solved, functools.partial(np.linalg.solve, schur), no_columns)
         raw = float(np.trace(nxt).real) - float(np.trace(current).real)
         if raw < -step_noise:

@@ -38,13 +38,23 @@ def random_pair(rng, max_dim=12, ratio=1e3):
     return random_psd(rng, dim, ra, ratio), random_psd(rng, dim, rb, ratio)
 
 
-def random_contraction(rng, dim, unit_eigs=0):
-    """Random positive contraction, optionally with eigenvalues pinned at one."""
+def contraction_spectrum(rng, dim, unit_eigs=0):
+    """Eigenvectors Q and eigenvalues in [0, 1] of ``random_contraction``'s draw."""
     q = random_unitary(rng, dim)
     lam = rng.uniform(0.0, 1.0, size=dim)
     lam[:unit_eigs] = 1.0
+    return q, lam
+
+
+def psd_from_spectrum(q, lam):
+    """The PSD matrix Q diag(lam) Q*, as its Hermitian part."""
     m = (q * lam) @ q.conj().T
     return PsdMatrix((m + m.conj().T) / 2.0)
+
+
+def random_contraction(rng, dim, unit_eigs=0):
+    """Random positive contraction, optionally with eigenvalues pinned at one."""
+    return psd_from_spectrum(*contraction_spectrum(rng, dim, unit_eigs))
 
 
 def _svd_pinv(m, cutoff):

@@ -31,7 +31,13 @@ from oplebesgue import (
 )
 from oplebesgue.parallel import ando_ac_part
 
-from helpers import random_contraction, random_psd, random_unitary
+from helpers import (
+    contraction_spectrum,
+    psd_from_spectrum,
+    random_contraction,
+    random_psd,
+    random_unitary,
+)
 
 SEED = 20260810
 ITERATE_TOL = Tolerances(max_iter=50_000)
@@ -204,8 +210,11 @@ def test_criterion_07_spectral_shortcut():
         dim = int(rng.integers(1, 11))
         unit_eigs = int(rng.integers(1, dim + 1)) if trial < 10 else 0
         pinned += unit_eigs > 0
-        bt = random_contraction(rng, dim, unit_eigs=unit_eigs)
-        complement = PsdMatrix(np.eye(dim) - bt.entries)
+        # the complement I - bt is formed on bt's own spectrum, so that its
+        # pinned directions are exact zeros: I - bt as a difference leaves
+        # round-off there, which A's relative cutoff can keep as range
+        q, lam = contraction_spectrum(rng, dim, unit_eigs)
+        bt, complement = psd_from_spectrum(q, lam), psd_from_spectrum(q, 1.0 - lam)
         shortcut = spectral_ac_of_contraction(bt)
         limit = ando_ac_part(complement, bt)
         gap = np.linalg.norm(shortcut.entries - limit.ac_part.entries)

@@ -1,12 +1,15 @@
 """A matrix is factored at most once: eigensolve counts and the kept spectrum."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from oplebesgue import (
+    AuxiliarySpace,
     Functional,
+    NumericalError,
     PsdMatrix,
     StarAlgebra,
     auxiliary_space,
@@ -63,14 +66,15 @@ def test_direct_eigensolve_count(eigensolves):
 def test_ando_eigensolve_count(eigensolves):
     a, b = _pair(eigensolves)
     result = ando_ac_part(a, b)
-    # tr B = 0.56, so the stopping bound iter_tol * tr B is 5.6e-11; the
-    # Romberg diagonal meets it twice in a row after 15 terms, where the
-    # plain trace increments need 37
-    assert result.converged and result.terms_used == 15
+    # tr B = 0.56, so the stopping bound iter_tol * tr B is 5.6e-11.  The
+    # schedule starts at k0 = 9, where 2^k lambda_min,kept(A) first exceeds
+    # ||B||_F = 0.31; from there the Romberg diagonal meets the bound twice
+    # in a row after 7 terms, where the plain trace increments need 28
+    assert result.converged and result.terms_used == 7
     # A has rank 8 and keeps the factorization it was validated on.  B's
     # block on the 4-dim kernel of A is factored once and keeps all 4
     # directions; a Cholesky of the first term's Schur complement less 2 e
-    # (size 4) certifies every later one, so the 15 terms solve against
+    # (size 4) certifies every later one, so the 7 terms solve against
     # theirs with no eigensolve and form only the 8 x 8 kept block.  The
     # settle runs on ran A, under the Schur complement Shat of B onto ran A:
     # the settling round clips the limit (size 8) and Shat - limit (size 8),
@@ -153,6 +157,43 @@ def test_b_tilde_is_built_on_first_use(eigensolves):
     mu = eig_hermitian(aux.a_tilde).eigenvalues
     assert np.array_equal(b_tilde.entries, spectral_map(aux.a_tilde, aux._complement).entries)
     assert np.allclose(aux._complement, 1.0 - mu, rtol=0.0, atol=1e-14)
+
+
+def test_a_tilde_is_built_on_first_use(eigensolves, monkeypatch):
+    # direct reads only a_tilde's spectrum (mu, Q), so auxiliary_space does
+    # not build its entries; the first read gives Q diag(mu) Q*, kept with
+    # that factorization and with no eigensolve, and later reads return the
+    # same matrix
+    a, b = _pair(eigensolves)
+    aux = auxiliary_space(a, b)
+    assert "a_tilde" not in vars(aux)
+    eigensolves.clear()
+    a_tilde = aux.a_tilde
+    assert aux.a_tilde is a_tilde
+    dec = eig_hermitian(a_tilde)
+    assert eigensolves == []
+    assert np.array_equal(dec.eigenvalues, aux._spectrum.eigenvalues)
+    assert np.array_equal(dec.vectors, aux._spectrum.vectors)
+
+    def forbidden(self):
+        raise AssertionError("direct_decompose built a_tilde")
+
+    monkeypatch.setattr(AuxiliarySpace, "a_tilde", property(forbidden))
+    ac, sing = direct_decompose(a, b)
+    assert np.linalg.norm(ac.entries + sing.entries - b.entries) <= 1e-10 * b.norm
+
+
+def test_direct_checks_the_unitarity_of_a_tildes_eigenvectors(monkeypatch):
+    # direct reads a_tilde's eigenvectors without the eigensolve's residual
+    # checks, so it checks their unitarity itself
+    from oplebesgue import lebesgue
+
+    def skewed(a, b, tol):
+        return dataclasses.replace(auxiliary_space(a, b, tol), _ortho=1.0)
+
+    monkeypatch.setattr(lebesgue, "auxiliary_space", skewed)
+    with pytest.raises(NumericalError, match="unitarity residual"):
+        direct_decompose(*_pair([]))
 
 
 def _block_pair(calls):

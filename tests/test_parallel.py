@@ -11,6 +11,7 @@ from oplebesgue import (
     DimensionMismatchError,
     NumericalError,
     PsdMatrix,
+    Tolerances,
     ando_ac_part,
     loewner_leq,
     parallel_sum,
@@ -343,12 +344,24 @@ def _draw(seed, index, ratio):
     return a, b
 
 
-def test_unsettled_doubling_limit_is_a_named_failure():
+def test_a_tiny_reference_certifies_where_its_doubling_reaches_b():
     # A's one kept eigenvalue is 1e-30 and B's block on ker A is 1, so Sigma_k
-    # = 2^k 1e-30 / (1 + 2^k 1e-30) stays below 2 e up to the doubling cap: no
-    # term can be certified, and the schedule raises rather than guess
+    # = 2^k 1e-30 / (1 + 2^k 1e-30) clears 2 e only once 2^k 1e-30 is of
+    # order one: the schedule starts at k0 = ceil(log2 ||B||_F - log2 1e-30)
+    # = 101 and converges to the short of B to e1, which is exactly 0
+    result = ando_ac_part(PsdMatrix(np.diag([1e-30, 0.0])), PsdMatrix([[1.0, 1.0], [1.0, 1.0]]))
+    assert result.converged
+    assert np.linalg.norm(result.ac_part.entries) <= 1e-9
+
+
+def test_unsettled_doubling_limit_is_a_named_failure():
+    # B's block on ker A is 1e-14, kept under rank_rtol = 1e-16, and B has no
+    # mass between ran A and ker A, so Sigma_k = 1e-14 for every k, below 2 e
+    # = 2 roundoff(2, ||B||): no term can be certified, and the schedule
+    # raises rather than guess
     with pytest.raises(NumericalError, match="doubling limit"):
-        ando_ac_part(PsdMatrix(np.diag([1e-30, 0.0])), PsdMatrix([[1.0, 1.0], [1.0, 1.0]]))
+        ando_ac_part(PsdMatrix(np.diag([1.0, 0.0])), PsdMatrix(np.diag([1.0, 1e-14])),
+                     Tolerances(rank_rtol=1e-16))
 
 
 @pytest.mark.parametrize("draw", [([31, 6], 125, 1e6, 1e-12), ([31, 10], 29, 1e10, 1e-12),
@@ -650,7 +663,8 @@ def test_ando_matches_the_oracle_on_hostile_spreads(exponent):
 @pytest.mark.parametrize("scale", [1e-3, 1e-6])
 def test_ando_converges_on_a_small_reference(scale):
     # the plain trace increments of (2^k A) : B shrink like 2^-k times
-    # tr B / scale, so they reach iter_tol * tr B only after the doubling cap
+    # tr B / scale, so from k = 0 they would need over 40 doublings to reach
+    # iter_tol * tr B; the window starts where 2^k lambda_min reaches ||B||
     rng = np.random.default_rng(40)
     a, b = random_psd(rng, 32, rank=20), random_psd(rng, 32, rank=20)
     a = scale * a
@@ -658,6 +672,51 @@ def test_ando_converges_on_a_small_reference(scale):
     assert result.converged
     error = np.linalg.norm(result.ac_part.entries - anderson_trapp_ac(a.entries, b.entries))
     assert error <= 1e-12 * b.norm
+
+
+def _spread_draws(exponent, count):
+    rng = np.random.default_rng([31, exponent])
+    return [random_pair(rng, 12, ratio=10.0**exponent) for _ in range(count)]
+
+
+@pytest.mark.parametrize("exponent", [3, 8, 12])
+def test_ando_is_bitwise_invariant_under_powers_of_four(exponent):
+    # ac depends on A only through ran A, and on B linearly.  A -> 4^m A
+    # shifts the schedule's start by 2m and leaves every term bitwise the
+    # same; B -> 4^m B scales every term and every stopping bound exactly
+    for a, b in _spread_draws(exponent, 60):
+        base = ando_ac_part(a, b)
+        for m in (-20, -3, 5, 20):
+            scaled_a = ando_ac_part(PsdMatrix(4.0**m * a.entries), b)
+            scaled_b = ando_ac_part(a, PsdMatrix(4.0**m * b.entries))
+            for got, expected in ((scaled_a, base.ac_part.entries),
+                                  (scaled_b, 4.0**m * base.ac_part.entries)):
+                assert np.array_equal(got.ac_part.entries, expected), m
+                assert (got.terms_used, got.converged) == (base.terms_used, base.converged)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12])
+def test_ando_does_not_depend_on_the_scale_of_a(c):
+    # ac(cA, B) = ac(A, B) for every c > 0: a converged result is within
+    # 1e-9 ||B|| of the oracle, or it is flagged
+    for exponent in (3, 6, 8):
+        for i, (a, b) in enumerate(_spread_draws(exponent, 60)):
+            result = ando_ac_part(PsdMatrix(c * a.entries), b)
+            if result.converged:
+                error = np.linalg.norm(result.ac_part.entries
+                                       - anderson_trapp_ac(a.entries, b.entries))
+                assert error <= 1e-9 * b.norm, (exponent, i, error)
+
+
+def test_ando_at_opposite_ends_of_the_float_range():
+    # ||B|| / lambda_min,kept(A) is about 1e330, past the largest float; its
+    # log2 is not, and the schedule starts at k0 = 1099.  ac is the short of
+    # B to e1, 2e30 - 1e30 / 2
+    a = PsdMatrix(1e-300 * np.diag([1.0, 0.0]))
+    b = PsdMatrix(1e30 * np.array([[2.0, 1.0], [1.0, 2.0]]))
+    result = ando_ac_part(a, b)
+    assert result.converged
+    assert np.linalg.norm(result.ac_part.entries - np.diag([1.5e30, 0.0])) <= 1e-12 * b.norm
 
 
 def test_ando_range_stays_inside_reference_range():
