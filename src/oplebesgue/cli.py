@@ -17,13 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import DEFAULT_TOL, PsdMatrix, Tolerances, _eigvalsh, _frobenius, psd_by_construction
-from .forms import SesquilinearForm, form_decompose, form_parallel_sum
-from .functionals import (
-    Functional,
-    _direct_sum,
-    functional_decompose,
-    functional_parallel_sum,
-)
+from .forms import SesquilinearForm, _direct_sum, form_decompose, form_parallel_sum
+from .functionals import Functional, functional_decompose, functional_parallel_sum
 from .lebesgue import (
     Method,
     arlinskii_step,

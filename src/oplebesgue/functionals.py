@@ -2,7 +2,9 @@
 
 A functional is stored through its block densities, w(a) = sum_k tr(rho_k a_k).
 The parallel sum and Lebesgue decomposition reduce to the form machinery over
-the matrix-unit basis; the GNS construction factors the densities directly.
+the matrix-unit basis, whose induced forms declare their Grams as n_k copies
+of each rho_k^T, so the matrix routes run on one copy of each density; the
+GNS construction factors the densities directly.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .core import (
     clip_psd,
     eig_hermitian,
 )
-from .forms import SesquilinearForm, form_decompose, form_parallel_sum
+from .forms import SesquilinearForm, _direct_sum, form_decompose, form_parallel_sum
 from .lebesgue import LebesgueDecomposition, Method
 
 __all__ = [
@@ -85,6 +88,11 @@ class StarAlgebra:
         ]
 
     def basis_labels(self) -> tuple[str, ...]:
+        return self._basis_labels
+
+    @cached_property
+    def _basis_labels(self) -> tuple[str, ...]:
+        """The labels of ``matrix_units``, built once per algebra."""
         return tuple(
             f"b{k}:e{i},{j}"
             for k, n in enumerate(self.block_dims)
@@ -181,32 +189,24 @@ def induced_form(w: Functional, tol: Tolerances = DEFAULT_TOL) -> SesquilinearFo
     """The form t(a, b) = w(b* a) over the matrix-unit basis.
 
     On a full matrix block with density rho the Gram restricts to
-    kron(I, rho^T), since w(E_ij* E_kl) = delta_ik rho[l, j].  As a direct
-    sum of exact copies of the validated rho^T = conj V diag(lam) V^T it gets
-    no eigensolve and keeps their factorizations, copied block by block.
+    kron(I_n, rho^T), since w(E_ij* E_kl) = delta_ik rho[l, j]: n copies of
+    rho^T.  The form declares that layout, (n_k, n_k) per block, on the
+    one-copy Gram rho_1^T + ... + rho_K^T (sum n_k, not sum n_k^2,
+    coordinates).  As a direct sum of the validated rho^T = conj V diag(lam)
+    V^T it gets no eigensolve and keeps their factorizations, copied block
+    by block; its full ``gram`` tiles them over the copies when read.
     """
-    dims, factored = w.algebra.block_dims, [rho._factorization() for rho in w.densities]
-    gram = _direct_sum([np.kron(np.eye(n), rho.entries.T) for rho, n in zip(w.densities, dims)])
-    values = np.concatenate([np.tile(f.dec.eigenvalues, n) for f, n in zip(factored, dims)])
+    factored = [rho._factorization() for rho in w.densities]
+    gram = _direct_sum([rho.entries.T for rho in w.densities])
+    values = np.concatenate([f.dec.eigenvalues for f in factored])
     order = np.argsort(-values, kind="stable")
-    vectors = _direct_sum([np.kron(np.eye(n), f.dec.vectors.conj()) for f, n in zip(factored, dims)])
-    recon = math.hypot(*(math.sqrt(n) * f.recon for f, n in zip(factored, dims)))
-    ortho = math.hypot(*(math.sqrt(n) * f.ortho for f, n in zip(factored, dims)))
+    vectors = _direct_sum([f.dec.vectors.conj() for f in factored])
+    recon = math.hypot(*(f.recon for f in factored))
+    ortho = math.hypot(*(f.ortho for f in factored))
     dec = EigenDecomposition(values[order], vectors[:, order])
     gram = PsdMatrix._checked(gram, _Factorization(dec, recon, ortho))
-    return SesquilinearForm(w.algebra.basis_labels(), gram)
-
-
-def _direct_sum(blocks) -> np.ndarray:
-    """The block-diagonal matrix with the given (possibly rectangular) blocks."""
-    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
-                   dtype=np.complex128)
-    row = col = 0
-    for b in blocks:
-        out[row : row + b.shape[0], col : col + b.shape[1]] = b
-        row += b.shape[0]
-        col += b.shape[1]
-    return out
+    return SesquilinearForm(w.algebra.basis_labels(), gram,
+                            tuple((n, n) for n in w.algebra.block_dims))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,32 +260,42 @@ def functional_from_form(
 ) -> Functional:
     """Recover the functional with a given induced form via w(a) = t(a, unit).
 
-    On each block, trace(rho E_ij) = rho[j, i]; density eigenvalues within
-    ``psd_slack * scale`` below zero are clipped, with ``scale`` the norm of
-    the inputs that produced the form (by default the form's own)."""
+    On each block, trace(rho E_ij) = rho[j, i].  A form that declares the
+    induced layout, n_k copies of an n_k x n_k block G_k, is read directly
+    as rho_k = G_k^T; any other is evaluated on the unit through its full
+    Gram.  Density eigenvalues within ``psd_slack * scale`` below zero are
+    clipped, with ``scale`` the norm of the inputs that produced the form
+    (by default the norm of the form's own full Gram)."""
     if form.basis_labels != algebra.basis_labels():
         raise ValueError("form is not indexed by the algebra's matrix-unit basis")
-    noise = tol.psd_slack * (form.gram.norm if scale is None else scale)
-    values = algebra.coefficients(algebra.unit()).conj() @ form.gram.entries
-    sizes = [n * n for n in algebra.block_dims]
-    return Functional(algebra, tuple(
-        clip_psd(v.reshape(n, n).T, noise, tol, "functional density")
-        for n, v in zip(algebra.block_dims, np.split(values, np.cumsum(sizes)[:-1]))))
+    noise = tol.psd_slack * (form.norm if scale is None else scale)
+    dims = algebra.block_dims
+    if form.layout == tuple((n, n) for n in dims):
+        densities = [g.T for g in form.blocks()]
+    else:
+        values = algebra.coefficients(algebra.unit()).conj() @ form.gram.entries
+        densities = [v.reshape(n, n).T
+                     for n, v in zip(dims, np.split(values, np.cumsum([n * n for n in dims])[:-1]))]
+    return Functional(algebra, tuple(clip_psd(d, noise, tol, "functional density")
+                                     for d in densities))
 
 
 def _on_induced_forms(w: Functional, v: Functional, tol: Tolerances, op):
     """``op`` on both induced forms, and the pair's scale ||Gram w|| + ||Gram v||
-    at which the densities of its result are recovered (the forms are freed)."""
+    at which the densities of its result are recovered (the forms are freed).
+    The forms declare n_k copies of each rho_k^T, so ``op`` runs on one copy,
+    and each full norm sqrt(sum_k n_k ||rho_k||^2) is read off that copy."""
     _require_same_algebra(w.algebra, v.algebra)
     tw, tv = induced_form(w, tol), induced_form(v, tol)
-    return op(tw, tv), tw.gram.norm + tv.gram.norm
+    return op(tw, tv), tw.norm + tv.norm
 
 
 def functional_parallel_sum(
     w: Functional, v: Functional, tol: Tolerances = DEFAULT_TOL
 ) -> Functional:
-    """Parallel sum of functionals through their induced forms, recovered at
-    the pair's scale (for mutually singular w and v it is their round-off)."""
+    """Parallel sum of functionals through their induced forms, one
+    ``parallel_sum`` on one copy of each density block, recovered at the
+    pair's scale (for mutually singular w and v it is their round-off)."""
     summed, scale = _on_induced_forms(w, v, tol, lambda tw, tv: form_parallel_sum(tw, tv, tol))
     return functional_from_form(w.algebra, summed, tol, scale=scale)
 
@@ -299,8 +309,9 @@ def functional_decompose(
     """Lebesgue decomposition of w into v-absolutely continuous and
     v-singular representable parts.
 
-    Decomposes the induced forms and recovers both parts as block-density
-    functionals at the pair's scale; the singular part satisfies sing : v = 0.
+    Decomposes the induced forms, one matrix decomposition on one copy of
+    each density block, and recovers both parts as block-density functionals
+    at the pair's scale; the singular part satisfies sing : v = 0.
     """
     dec, scale = _on_induced_forms(w, v, tol, lambda tw, tv: form_decompose(tw, tv, method, tol))
     return dataclasses.replace(dec, ac=functional_from_form(w.algebra, dec.ac, tol, scale=scale),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from oplebesgue import PsdMatrix
+from oplebesgue import Functional, PsdMatrix, StarAlgebra
 
 
 def random_unitary(rng, dim):
@@ -28,6 +28,16 @@ def random_psd(rng, dim, rank=None, ratio=1e3, scale=1.0):
     lam[:rank] = scale * np.exp(rng.uniform(np.log(1.0 / ratio), 0.0, size=rank))
     m = (q * lam) @ q.conj().T
     return PsdMatrix((m + m.conj().T) / 2.0)
+
+
+def hostile_functional(rng, dims, spread, block_scales):
+    """Rank-deficient densities with eigenvalue spread ``spread`` inside each
+    block and block scales ``block_scales`` across them."""
+    densities = []
+    for n, scale in zip(dims, block_scales):
+        rank = int(rng.integers(1, n + 1))
+        densities.append(random_psd(rng, n, rank=rank, ratio=spread, scale=scale))
+    return Functional(StarAlgebra(dims), tuple(densities))
 
 
 def random_pair(rng, max_dim=12, ratio=1e3):

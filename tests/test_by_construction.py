@@ -25,7 +25,7 @@ from oplebesgue import (
 )
 from oplebesgue.core import psd_by_construction
 
-from helpers import random_pair, random_psd
+from helpers import hostile_functional, random_pair, random_psd
 
 
 def _meets_psd_slack(h, tol=DEFAULT_TOL):
@@ -63,16 +63,6 @@ def test_trusted_constructor_rejects_non_hermitian_and_non_square():
         psd_by_construction(np.ones((2, 3)))
 
 
-def _hostile_functional(rng, dims, spread, block_scales):
-    """Rank-deficient densities with eigenvalue spread ``spread`` inside each
-    block and block scales ``block_scales`` across them."""
-    densities = []
-    for n, scale in zip(dims, block_scales):
-        rank = int(rng.integers(1, n + 1))
-        densities.append(random_psd(rng, n, rank=rank, ratio=spread, scale=scale))
-    return Functional(StarAlgebra(dims), tuple(densities))
-
-
 @pytest.mark.parametrize("spread,across", [
     (1e3, 1.0), (1e6, 1e3), (1e12, 1.0), (1e3, 1e12), (1e12, 1e12),
 ])
@@ -81,7 +71,7 @@ def test_induced_gram_would_pass_its_validation(spread, across):
     for dims in [(1,), (3,), (2, 3), (4, 1, 3)]:
         for _ in range(4):
             scales = across ** -rng.uniform(0.0, 1.0, size=len(dims))
-            w = _hostile_functional(rng, dims, spread, scales)
+            w = hostile_functional(rng, dims, spread, scales)
             assert _meets_psd_slack(induced_form(w).gram.entries), (dims, spread, across)
 
 
@@ -172,7 +162,7 @@ def test_blockwise_gns_space_dim_matches_the_dense_gram(spread, across):
     for dims in [(3,), (2, 3), (4, 1, 3)]:
         for _ in range(4):
             scales = across ** -rng.uniform(0.0, 1.0, size=len(dims))
-            w = _hostile_functional(rng, dims, spread, scales)
+            w = hostile_functional(rng, dims, spread, scales)
             assert gns(w).space_dim == _dense_space_dim(w), (dims, spread, across)
 
 

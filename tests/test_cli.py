@@ -227,11 +227,11 @@ def test_form_psum_runs_one_parallel_sum(capsys, eigensolves):
 
 
 @pytest.mark.parametrize("args,expected", [
-    (("psum",), {("eigh", 2): 3, ("eigh", 1): 8, ("eigvalsh", 2): 2, ("eigvalsh", 1): 2}),
-    (("decompose",), {("eigh", 2): 2, ("eigh", 1): 17, ("svd", 4): 2, ("svd", 2): 2,
+    (("psum",), {("eigh", 2): 3, ("eigh", 1): 6, ("eigvalsh", 2): 2, ("eigvalsh", 1): 2}),
+    (("decompose",), {("eigh", 2): 2, ("eigh", 1): 17, ("svd", 4): 1, ("svd", 2): 1,
                       ("svd", 1): 1}),
-    (("decompose", "--cross-check"), {("eigh", 2): 10, ("eigh", 1): 22, ("svd", 4): 2,
-                                      ("svd", 2): 4, ("svd", 1): 1, ("qr", 9): 1,
+    (("decompose", "--cross-check"), {("eigh", 2): 8, ("eigh", 1): 22, ("svd", 4): 1,
+                                      ("svd", 2): 2, ("svd", 1): 1, ("qr", 5): 1,
                                       ("cholesky", 1): 1}),
 ], ids=["psum", "decompose", "cross-check"])
 def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolves, args,
@@ -240,16 +240,18 @@ def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolve
     # construction.  The four densities are validated as they are parsed, on
     # the eigh each keeps (one 2-dim call and four 1-dim ones: v's first
     # density is I_2); psum's two eigvalsh per size are its min-eig
-    # diagnostics.  The induced Grams keep their densities' factorizations, so
-    # no route factors a Gram: direct's only solves on them are the SVDs of
-    # the root-factor stack [X Y]* (4 x 2 twice, 1 x 1) and of V_X* (2 x 2
-    # twice).  ando factors B's 1-dim block on ker A once, a 1 x 1 Cholesky
-    # certifies its first term's Schur complement, so no term factors one,
-    # and its settle runs on the 4-dim ran A: clips of the limit and of its
-    # complement under B's Schur complement onto ran A, each as two 2-dim
-    # blocks.
-    # iterate's congruence is one thin QR of the 9 x 5 stack [diag(lam)^(1/2),
-    # F]*, where an SVD took it in three blocks (2, 2 and 1).
+    # diagnostics.  The induced forms declare two copies of the 2-dim block
+    # and one of the 1-dim block, so every route runs on the 3-dim one-copy
+    # Grams, which keep their densities' factorizations: no route factors a
+    # Gram.  parallel_sum clips its kept block once per block (2 and 1).
+    # direct's only solves on them are the SVDs of the root-factor stack
+    # [X Y]* (4 x 2, 1 x 1) and of V_X* (2 x 2).  ando factors B's 1-dim
+    # block on ker A once, a 1 x 1 Cholesky certifies its first term's
+    # Schur complement, so no term factors one, and its settle runs on the
+    # 2-dim ran A: clips of the limit and of its complement under B's Schur
+    # complement onto ran A.
+    # iterate's congruence is one thin QR of the 5 x 3 stack [diag(lam)^(1/2),
+    # F]*, and one 2 x 2 SVD factors its Q_F.
     # Revalidating a direct sum, by eigh or eigvalsh, adds a call per block
     # of it and changes the tally
     code, _, _ = run_json(capsys, *args, str(DATA / "functional_pair.json"))

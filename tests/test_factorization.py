@@ -210,16 +210,17 @@ def _block_pair(calls):
 def test_functional_decompose_eigensolve_count(eigensolves):
     w, v = _block_pair(eigensolves)
     functional_decompose(w, v)
-    # the induced Grams keep their densities' factorizations, so the root
-    # factors need no eigensolve; the 15 x 13 stack [X Y]* splits into the
-    # Gram's five decoupled groups, 3 x 2 on block 1's two (X has 2 columns
-    # there, Y 1) and 3 x 3 on block 2's three (X 1, Y 2), and the 13 x 7
-    # block V_X* into 2 x 2 twice and 3 x 1 three times; then eigh clips each
-    # rebuilt density once.  ac on both blocks and sing on block 2 are dense
-    # (ac on block 2 is round-off of size eps^2 ||C||, where the part is
-    # zero), while sing on block 1 is exactly zero, one call per diagonal
-    # entry; sing and ac are positive by construction
-    assert _tally(eigensolves) == {("svd", 3): 2 + 3 + 3, ("svd", 2): 2,
+    # the induced forms declare two copies of block 1 and three of block 2,
+    # so direct runs once on the 5-dim one-copy Grams, which keep their
+    # densities' factorizations: the root factors need no eigensolve; the
+    # 6 x 5 stack [X Y]* splits into 3 x 2 on block 1 (X has 2 columns
+    # there, Y 1) and 3 x 3 on block 2 (X 1, Y 2), and the 5 x 3 block V_X*
+    # into 2 x 2 and 3 x 1; then eigh clips each rebuilt density once.  ac
+    # on both blocks and sing on block 2 are dense (ac on block 2 is
+    # round-off of size eps^2 ||C||, where the part is zero), while sing on
+    # block 1 is exactly zero, one call per diagonal entry; sing and ac are
+    # positive by construction
+    assert _tally(eigensolves) == {("svd", 3): 2 + 1, ("svd", 2): 1,
                                    ("eigh", 2): 1, ("eigh", 3): 2, ("eigh", 1): 2}
 
 

@@ -45,6 +45,12 @@ def test_algebra_validation():
     assert MIXED.total_dim == 4 + 9 + 1
 
 
+def test_basis_labels_are_built_once_per_algebra():
+    labels = MIXED.basis_labels()
+    assert labels is MIXED.basis_labels()
+    assert len(labels) == MIXED.total_dim and labels[4] == "b1:e0,0"
+
+
 def test_element_algebra():
     a = M2.element([[[0.0, 1.0], [0.0, 0.0]]])
     b = M2.element([[[0.0, 0.0], [1.0, 0.0]]])
@@ -229,7 +235,8 @@ def test_functional_decomposition_carries_the_matrix_metadata(method):
     w = random_functional(rng)
     v = functional(MIXED, [random_psd(rng, n, rank=n - 1).entries for n in MIXED.block_dims])
     dec = functional_decompose(w, v, method)
-    matrix = decompose(induced_form(v).gram, induced_form(w).gram, method)
+    # the reduction solves one copy of each density block, not the full Gram
+    matrix = decompose(induced_form(v).copy_gram, induced_form(w).copy_gram, method)
     assert isinstance(dec, LebesgueDecomposition)
     assert (dec.method, dec.iterations, dec.residual, dec.converged) == (
         matrix.method, matrix.iterations, matrix.residual, matrix.converged)
