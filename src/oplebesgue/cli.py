@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_TOL, PsdMatrix, Tolerances, _eigvalsh, _frobenius, psd_by_construction
-from .forms import SesquilinearForm, _direct_sum, form_decompose, form_parallel_sum
-from .functionals import Functional, functional_decompose, functional_parallel_sum
+from .core import DEFAULT_TOL, PsdMatrix, Tolerances, _eigvalsh, _frobenius
+from .forms import SesquilinearForm, form_decompose, form_parallel_sum
+from .functionals import Functional, functional_decompose, functional_parallel_sum, induced_form
 from .lebesgue import (
     Method,
     arlinskii_step,
@@ -174,12 +174,13 @@ def _kind_calls(p):
 
 def _as_matrix(x) -> PsdMatrix:
     """The matrix backing the diagnostics: an operator itself, a form's Gram,
-    or the direct sum of a functional's (validated) densities."""
+    or the one-copy Gram of a functional's induced form, the direct sum of
+    its densities' transposes that the routes solve."""
     if isinstance(x, PsdMatrix):
         return x
     if isinstance(x, SesquilinearForm):
         return x.gram
-    return psd_by_construction(_direct_sum([rho.entries for rho in x.densities]))
+    return induced_form(x).copy_gram
 
 
 def _to_json(x):

@@ -168,9 +168,11 @@ class PsdMatrix:
     __rmul__ = __mul__
 
     def __array__(self, dtype=None, copy=None):
+        """The entries: a fresh writeable array when ``copy`` is True or a
+        ``dtype`` is given, else the read-only view."""
         if dtype is not None:
             return self._entries.astype(dtype)
-        return self._entries
+        return self._entries.copy() if copy else self._entries
 
     def __repr__(self):
         return f"PsdMatrix(dim={self.dim}, trace={self.trace:.6g})"

@@ -3,20 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    EigenDecomposition,
-    PsdMatrix,
-    Tolerances,
-    _Factorization,
-    _frobenius,
-)
+from .core import DEFAULT_TOL, PsdMatrix, Tolerances
 from .lebesgue import LebesgueDecomposition, Method, decompose
 from .parallel import parallel_sum
 
@@ -42,8 +34,7 @@ class SesquilinearForm:
     direct sum of the kron(I_{m_k}, G_k) over sum m_k d_k basis vectors.
     ``SesquilinearForm(labels, gram)`` is one block of multiplicity 1,
     whose ``gram`` is the given matrix itself.  A declared ``gram`` is
-    expanded on first read only, and keeps the one-copy factorization tiled
-    over the copies, so reading it runs no eigensolve.
+    built on first read only, and factored only if its spectrum is read.
     """
 
     basis_labels: tuple[str, ...]
@@ -86,12 +77,8 @@ class SesquilinearForm:
 
     @property
     def norm(self) -> float:
-        """Frobenius norm of the full Gram, sqrt(sum_k m_k ||G_k||^2), read
-        off the one-copy blocks."""
-        if self._one_copy:
-            return self.copy_gram.norm
-        return math.hypot(*(math.sqrt(m) * _frobenius(g) for g, (_, m)
-                            in zip(self.blocks(), self.layout)))
+        """Frobenius norm of the full Gram."""
+        return self.gram.norm
 
     def blocks(self) -> list[np.ndarray]:
         """The one-copy blocks G_k (read-only views into ``copy_gram``)."""
@@ -111,37 +98,12 @@ class SesquilinearForm:
 
 
 def _expanded(g: PsdMatrix, layout) -> PsdMatrix:
-    """The direct sum of the kron(I_m, G_k) of a block-diagonal ``g``.
-
-    When g's factorization is known and each eigenvector lies in one block,
-    it is tiled: block k's eigenpairs, taken in g's order, are repeated on
-    each of its m copies, and the union is sorted stably by descending
-    eigenvalue.  The residuals of the tiled factorization are g's times
-    sqrt(max m), a bound on sqrt(sum_k m_k r_k^2) for the blocks' own r_k.
-    Otherwise the expansion is factored only if its spectrum is read.
-    """
+    """The direct sum of the kron(I_m, G_k) of a block-diagonal ``g``, PSD by
+    construction: it gets no check, and is factored only if its spectrum is
+    read."""
     starts = np.cumsum([0] + [d for d, _ in layout])
-    entries = _direct_sum([np.kron(np.eye(m), g.entries[s:s + d, s:s + d])
-                           for (d, m), s in zip(layout, starts)])
-    factored = g._factored
-    if factored is None:
-        return PsdMatrix._checked(entries, None)
-    vectors = factored.dec.vectors
-    # the block that holds each eigenvector's nonzero entries
-    inside = np.array([np.any(vectors[s:s + d] != 0, axis=0)
-                       for (d, _), s in zip(layout, starts)]).reshape(len(layout), -1)
-    owners = [np.flatnonzero(row) for row in inside]
-    if np.any(inside.sum(axis=0) != 1) or any(o.size != d for o, (d, _) in zip(owners, layout)):
-        return PsdMatrix._checked(entries, None)
-    lam = factored.dec.eigenvalues
-    values = np.concatenate([np.tile(lam[o], m) for o, (_, m) in zip(owners, layout)])
-    tiled = _direct_sum([np.kron(np.eye(m), vectors[s:s + d, o])
-                         for o, (d, m), s in zip(owners, layout, starts)])
-    order = np.argsort(-values, kind="stable")
-    grow = math.sqrt(max(m for _, m in layout))
-    dec = EigenDecomposition(values[order], tiled[:, order])
-    return PsdMatrix._checked(entries, _Factorization(dec, grow * factored.recon,
-                                                      grow * factored.ortho))
+    return PsdMatrix._checked(_direct_sum([np.kron(np.eye(m), g.entries[s:s + d, s:s + d])
+                                           for (d, m), s in zip(layout, starts)]), None)
 
 
 def _direct_sum(blocks) -> np.ndarray:

@@ -35,6 +35,7 @@ __all__ = [
     "StarAlgebra",
     "evaluate",
     "functional_decompose",
+    "functional_from_densities",
     "functional_from_form",
     "functional_parallel_sum",
     "gns",
@@ -185,16 +186,16 @@ def functional_from_densities(algebra: StarAlgebra, densities, tol: Tolerances =
     return Functional(algebra, tuple(PsdMatrix(d, tol) for d in densities))
 
 
-def induced_form(w: Functional, tol: Tolerances = DEFAULT_TOL) -> SesquilinearForm:
+def induced_form(w: Functional) -> SesquilinearForm:
     """The form t(a, b) = w(b* a) over the matrix-unit basis.
 
     On a full matrix block with density rho the Gram restricts to
     kron(I_n, rho^T), since w(E_ij* E_kl) = delta_ik rho[l, j]: n copies of
     rho^T.  The form declares that layout, (n_k, n_k) per block, on the
     one-copy Gram rho_1^T + ... + rho_K^T (sum n_k, not sum n_k^2,
-    coordinates).  As a direct sum of the validated rho^T = conj V diag(lam)
-    V^T it gets no eigensolve and keeps their factorizations, copied block
-    by block; its full ``gram`` tiles them over the copies when read.
+    coordinates), the one matrix a functional is reduced to.  As a direct
+    sum of the validated rho^T = conj V diag(lam) V^T it gets no eigensolve
+    and keeps their factorizations, copied block by block.
     """
     factored = [rho._factorization() for rho in w.densities]
     gram = _direct_sum([rho.entries.T for rho in w.densities])
@@ -255,49 +256,38 @@ def gns(w: Functional, tol: Tolerances = DEFAULT_TOL) -> GnsTriplet:
 
 
 def functional_from_form(
-    algebra: StarAlgebra, form: SesquilinearForm, tol: Tolerances = DEFAULT_TOL,
-    *, scale: float | None = None,
+    algebra: StarAlgebra, form: SesquilinearForm, tol: Tolerances = DEFAULT_TOL
 ) -> Functional:
     """Recover the functional with a given induced form via w(a) = t(a, unit).
 
     On each block, trace(rho E_ij) = rho[j, i].  A form that declares the
     induced layout, n_k copies of an n_k x n_k block G_k, is read directly
-    as rho_k = G_k^T; any other is evaluated on the unit through its full
-    Gram.  Density eigenvalues within ``psd_slack * scale`` below zero are
-    clipped, with ``scale`` the norm of the inputs that produced the form
-    (by default the norm of the form's own full Gram)."""
+    as rho_k = G_k^T, clipped at zero: each G_k is a principal block of a
+    route result, checked by the route.  Any other form is evaluated on the
+    unit through its full Gram, and density eigenvalues within
+    ``psd_slack * ||Gram||`` below zero are clipped."""
     if form.basis_labels != algebra.basis_labels():
         raise ValueError("form is not indexed by the algebra's matrix-unit basis")
-    noise = tol.psd_slack * (form.norm if scale is None else scale)
     dims = algebra.block_dims
     if form.layout == tuple((n, n) for n in dims):
-        densities = [g.T for g in form.blocks()]
+        densities, noise = [g.T for g in form.blocks()], math.inf
     else:
         values = algebra.coefficients(algebra.unit()).conj() @ form.gram.entries
         densities = [v.reshape(n, n).T
                      for n, v in zip(dims, np.split(values, np.cumsum([n * n for n in dims])[:-1]))]
+        noise = tol.psd_slack * form.norm
     return Functional(algebra, tuple(clip_psd(d, noise, tol, "functional density")
                                      for d in densities))
-
-
-def _on_induced_forms(w: Functional, v: Functional, tol: Tolerances, op):
-    """``op`` on both induced forms, and the pair's scale ||Gram w|| + ||Gram v||
-    at which the densities of its result are recovered (the forms are freed).
-    The forms declare n_k copies of each rho_k^T, so ``op`` runs on one copy,
-    and each full norm sqrt(sum_k n_k ||rho_k||^2) is read off that copy."""
-    _require_same_algebra(w.algebra, v.algebra)
-    tw, tv = induced_form(w, tol), induced_form(v, tol)
-    return op(tw, tv), tw.norm + tv.norm
 
 
 def functional_parallel_sum(
     w: Functional, v: Functional, tol: Tolerances = DEFAULT_TOL
 ) -> Functional:
-    """Parallel sum of functionals through their induced forms, one
-    ``parallel_sum`` on one copy of each density block, recovered at the
-    pair's scale (for mutually singular w and v it is their round-off)."""
-    summed, scale = _on_induced_forms(w, v, tol, lambda tw, tv: form_parallel_sum(tw, tv, tol))
-    return functional_from_form(w.algebra, summed, tol, scale=scale)
+    """Parallel sum of functionals through their induced forms: one
+    ``parallel_sum`` on one copy of each density block."""
+    _require_same_algebra(w.algebra, v.algebra)
+    summed = form_parallel_sum(induced_form(w), induced_form(v), tol)
+    return functional_from_form(w.algebra, summed, tol)
 
 
 def functional_decompose(
@@ -310,9 +300,10 @@ def functional_decompose(
     v-singular representable parts.
 
     Decomposes the induced forms, one matrix decomposition on one copy of
-    each density block, and recovers both parts as block-density functionals
-    at the pair's scale; the singular part satisfies sing : v = 0.
+    each density block, and recovers both parts as block-density
+    functionals; the singular part satisfies sing : v = 0.
     """
-    dec, scale = _on_induced_forms(w, v, tol, lambda tw, tv: form_decompose(tw, tv, method, tol))
-    return dataclasses.replace(dec, ac=functional_from_form(w.algebra, dec.ac, tol, scale=scale),
-                               sing=functional_from_form(w.algebra, dec.sing, tol, scale=scale))
+    _require_same_algebra(w.algebra, v.algebra)
+    dec = form_decompose(induced_form(w), induced_form(v), method, tol)
+    return dataclasses.replace(dec, ac=functional_from_form(w.algebra, dec.ac, tol),
+                               sing=functional_from_form(w.algebra, dec.sing, tol))

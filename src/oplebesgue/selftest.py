@@ -309,7 +309,7 @@ def _check_evaluate(fx, tol):
 
 
 def _check_induced_form(fx, tol):
-    form = induced_form(_functional(fx, "densities", tol), tol)
+    form = induced_form(_functional(fx, "densities", tol))
     detail = _expect_matrix(form.gram.entries, fx, tol, key="gram")
     if detail:
         return detail

@@ -99,7 +99,7 @@ def test_direct_parts_would_pass_their_validation_on_random_pairs(ratio):
 
 def _dense_space_dim(w, tol=DEFAULT_TOL):
     """Rank of the dense induced Gram under the relative cutoff."""
-    gram = induced_form(w, tol).gram.entries
+    gram = induced_form(w).gram.entries
     return int(np.count_nonzero(tol.support(np.linalg.eigvalsh(gram)[::-1])))
 
 

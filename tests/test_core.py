@@ -1,5 +1,7 @@
 """Hermitian PSD kernel: construction, eigendecomposition, pinv, projections, order."""
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -245,6 +247,16 @@ def test_entries_are_immutable():
     m = PsdMatrix.identity(2)
     with pytest.raises(ValueError):
         m.entries[0, 0] = 5.0
+
+
+def test_array_protocol_copies_when_asked():
+    m = PsdMatrix.identity(2)
+    for copied in (np.array(m), np.array(m, copy=True)):
+        assert not np.shares_memory(copied, m.entries)
+        copied[0, 0] = 5.0
+    assert m.entries[0, 0] == 1.0
+    for viewed in (np.asarray(m), np.array(m, copy=False)):
+        assert viewed is m.entries
 
 
 def test_zero_dimensional_matrix_supported():
@@ -585,3 +597,15 @@ def test_only_core_calls_the_eigensolvers():
     package = Path(oplebesgue.__file__).parent
     callers = sorted(path.name for path in package.glob("*.py") if call.search(path.read_text()))
     assert callers == ["core.py"]
+
+
+def test_every_package_export_is_exported_by_its_module():
+    # each name the package exports is re-exported from one submodule, whose
+    # own __all__ lists it
+    tree = ast.parse(Path(oplebesgue.__file__).read_text())
+    home = {alias.name: node.module for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+    for name in oplebesgue.__all__:
+        module = importlib.import_module(f"oplebesgue.{home[name]}")
+        assert name in module.__all__, (name, module.__name__)

@@ -225,10 +225,10 @@ def test_functional_decompose_eigensolve_count(eigensolves):
 
 
 def test_induced_form_runs_no_eigensolve(eigensolves):
-    # the Gram keeps the factorization its densities hold, so neither
-    # building it nor reading its spectrum runs a solver
+    # the one-copy Gram keeps the factorizations its densities hold, so
+    # neither building it nor reading its spectrum runs a solver
     w, _ = _block_pair(eigensolves)
-    gram = induced_form(w).gram
+    gram = induced_form(w).copy_gram
     dec = eig_hermitian(gram)
     assert eigensolves == []
     fresh = np.sort(np.linalg.eigvalsh(gram.entries))[::-1]

@@ -9,8 +9,11 @@ from oplebesgue import (
     PsdMatrix,
     SesquilinearForm,
     StarAlgebra,
+    Tolerances,
     decompose,
     evaluate,
+    form_decompose,
+    form_parallel_sum,
     functional_decompose,
     functional_from_densities,
     functional_from_form,
@@ -20,7 +23,7 @@ from oplebesgue import (
     parallel_sum,
 )
 
-from helpers import random_psd
+from helpers import hostile_functional, random_psd
 
 M2 = StarAlgebra((2,))
 TWO_SCALARS = StarAlgebra((1, 1))
@@ -318,3 +321,30 @@ def test_rebuilt_density_keeps_its_positivity_check_above_the_norm_overflow(scal
     form = SesquilinearForm(M2.basis_labels(), PsdMatrix(scale * np.outer(v, v)))
     with pytest.raises(NumericalError, match="functional density lost positivity"):
         functional_from_form(M2, form)
+
+
+def test_route_results_hold_each_density_above_the_pairs_slack():
+    # the densities are read off principal blocks of the routes' results and
+    # clipped at zero with no threshold: on seeded hostile pairs (spreads up
+    # to 1e12 inside a block, block scales up to 1e12 apart) no block dips
+    # below -psd_slack * (||Gram w|| + ||Gram v||), the bound a pair-scale
+    # threshold on that clip would enforce (the worst block reaches 6.2e-6
+    # of it)
+    tol = Tolerances(max_iter=3000)
+    checked = 0
+    for spread in (1e3, 1e8, 1e12):
+        for across in (1.0, 1e6, 1e12):
+            rng = np.random.default_rng([43, int(np.log10(spread)), int(np.log10(across))])
+            for dims in [(3,), (2, 3), (4, 1, 3), (8, 8, 8)]:
+                for _ in range(6):
+                    scales = [across ** -rng.uniform(0.0, 1.0, size=len(dims)) for _ in "wv"]
+                    tw, tv = (induced_form(hostile_functional(rng, dims, spread, s))
+                              for s in scales)
+                    results = [form_parallel_sum(tw, tv, tol)]
+                    for method in ("direct", "iterate", "ando"):
+                        results.extend(form_decompose(tw, tv, method, tol))
+                    bound = tol.psd_slack * (tw.norm + tv.norm)
+                    for g in (g for form in results for g in form.blocks()):
+                        assert np.linalg.eigvalsh(g)[0] >= -bound, (spread, across, dims)
+                        checked += 1
+    assert checked == 3402
