@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -168,11 +169,14 @@ class PsdMatrix:
     __rmul__ = __mul__
 
     def __array__(self, dtype=None, copy=None):
-        """The entries: a fresh writeable array when ``copy`` is True or a
-        ``dtype`` is given, else the read-only view."""
-        if dtype is not None:
-            return self._entries.astype(dtype)
-        return self._entries.copy() if copy else self._entries
+        """The entries: a fresh writeable array when ``copy`` is True, else
+        the read-only view.  Any ``dtype`` but complex128 needs a cast, so it
+        gets a fresh array, and raises ValueError when ``copy`` is False."""
+        if dtype is None or np.dtype(dtype) == np.complex128:
+            return self._entries.copy() if copy else self._entries
+        if copy is False:
+            raise ValueError(f"a {np.dtype(dtype)} array of complex128 entries needs a copy")
+        return self._entries.astype(dtype)
 
     def __repr__(self):
         return f"PsdMatrix(dim={self.dim}, trace={self.trace:.6g})"
@@ -196,14 +200,27 @@ class EigenDecomposition:
 
 
 def _frobenius(m: np.ndarray) -> float:
-    """Frobenius norm.  ``numpy.linalg.norm`` squares the entries, so it
-    overflows above about 1.3e154 and loses precision below about 1e-150
-    (reading 0 below about 1e-162); only then are the real and imaginary
-    parts rescaled by the power of two that brings max |entry| into [1/2, 1)."""
+    """Frobenius norm of a float64 or complex128 array.
+
+    In range it is ``float(numpy.linalg.norm(m))`` bitwise, from numpy's own
+    arithmetic without the dispatch of ``norm``: the dot products x.x of the
+    real and imaginary parts of ``m.ravel(order="K")``, added as Python
+    floats, and one correctly rounded square root.  ``vdot`` runs the same
+    dot loop as ``ndarray.dot`` on real input but raises no floating-point
+    warning, and Python floats overflow to inf silently, so no ``errstate``
+    is needed.  Squaring overflows above about 1.3e154 and loses precision
+    below about 1e-150 (reading 0 below about 1e-162); only then are the
+    real and imaginary parts rescaled by the power of two that brings
+    max |entry| into [1/2, 1).  A non-finite entry makes the norm non-finite."""
+    x = m.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        norm = math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
+    else:
+        norm = math.sqrt(float(np.vdot(x, x)))
+    if 1e-150 <= norm < math.inf or not m.size:
+        return norm
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(m))
-        if 1e-150 <= norm < math.inf or not m.size:
-            return norm
         parts = (m.real, m.imag) if np.iscomplexobj(m) else (m,)
         top = max(float(np.max(np.abs(p))) for p in parts)
         if top == 0.0:
@@ -218,13 +235,16 @@ def _hermitian_part(entries, tol: Tolerances) -> np.ndarray:
     m = np.asarray(entries, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    norm = _frobenius(m)
+    # a finite norm has finite entries; one that is not may still come from
+    # finite entries whose norm overflows, so only then are they scanned
+    if not norm < math.inf and not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     half = m / 2.0
     # one contiguous adjoint, written in one pass, serves both the check and
     # the average
     adjoint = np.conjugate(half.T, out=np.empty_like(half))
-    scale = 1.0 + _frobenius(m)
+    scale = 1.0 + norm
     asym = 2.0 * _frobenius(half - adjoint)
     if asym > tol.recon_tol * scale:
         raise ValueError(
@@ -236,11 +256,13 @@ def _hermitian_part(entries, tol: Tolerances) -> np.ndarray:
 
 
 def _require_psd(eigenvalues: np.ndarray, tol: Tolerances) -> None:
-    """Positivity within the slack, judged on the matrix's eigenvalues."""
+    """Positivity within the slack, judged on the matrix's eigenvalues in
+    descending order: the smallest is the last, the largest in modulus the
+    first or the last."""
     if eigenvalues.size == 0:
         return
-    smallest = float(np.min(eigenvalues))
-    largest = float(np.max(np.abs(eigenvalues)))
+    smallest = float(eigenvalues[-1])
+    largest = max(float(eigenvalues[0]), -smallest)
     if smallest < -tol.psd_slack * (1.0 + largest):
         raise ValueError(
             f"matrix is not positive semidefinite: smallest eigenvalue "
@@ -281,7 +303,9 @@ def psd_difference(x: PsdMatrix, y: PsdMatrix, noise: float, context: str,
 def _components(linked: np.ndarray) -> list[np.ndarray]:
     """Index sets of the connected components of a symmetric boolean
     adjacency, each ascending, in order of their smallest index: a
-    breadth-first search that reads each row once."""
+    breadth-first search that reads each row once, O(n^2) with one
+    Python-level search per component.  The fallback of ``_blocks`` and
+    ``_svd_blocks`` for a pattern whose components are not all cliques."""
     n = linked.shape[0]
     unseen = np.ones(n, dtype=bool)
     blocks = []
@@ -300,32 +324,69 @@ def _components(linked: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
+def _classes(labels: np.ndarray) -> list[np.ndarray]:
+    """Index sets of equal labels, each ascending, in ascending order of label."""
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+    return [order[a:b] for a, b in zip([0, *cuts], [*cuts, order.size])]
+
+
 def _blocks(h: np.ndarray) -> list[np.ndarray]:
     """Index sets of the connected components of h's exact nonzero pattern
-    (i and j linked when h[i, j] or h[j, i] is nonzero).  A matrix whose row
-    0 has no zero off the diagonal is one component, found without reading
-    the rest; otherwise ``_components`` runs, so detection is O(n^2)."""
+    (i and j linked when h[i, j] or h[j, i] is nonzero), each ascending, in
+    order of their smallest index.
+
+    A matrix whose row 0 has no zero off the diagonal is one component,
+    found without reading the rest.  Otherwise an exact clique test runs in
+    O(n^2) time and memory: label each index by the first index it is linked
+    to (itself included); the components are all cliques exactly when i and
+    j are linked iff their labels agree, and then they are the classes of
+    equal label, the label being a class's smallest index.  Any other
+    pattern falls back to ``_components``."""
     n = h.shape[0]
-    if n < 2 or np.all(h[0, 1:] != 0):
+    if n < 2 or h[0, 1:].all():
         return [np.arange(n)]
     linked = h != 0
     linked |= linked.T
+    linked.flat[::n + 1] = True
+    first = linked.argmax(axis=1)
+    if np.array_equal(linked, first[:, None] == first):
+        return _classes(first)
     return _components(linked)
 
 
 def _svd_blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(rows, columns) of each connected component of m's exact nonzero
     pattern, read as a bipartite graph (row i and column j linked when
-    m[i, j] is nonzero), in order of their smallest row, then column.  A
-    zero row or column is a component of its own with no partner.  A matrix
-    whose row 0 and column 0 have no zero is one component."""
+    m[i, j] is nonzero), each ascending, in order of their smallest row,
+    then column.  A zero row or column is a component of its own with no
+    partner.  A matrix whose row 0 and column 0 have no zero is one
+    component.
+
+    Otherwise an exact biclique test runs in O(rc) time and memory: label a
+    column by the first row it meets, a row by the label of its first
+    column, and a zero row or column by an index of its own (row i by i,
+    column j by r + j).  Every component is complete bipartite exactly when
+    row i meets column j iff their labels agree, and then the components
+    are the classes of equal label over the r + c rows and columns, a
+    class's label being its smallest row (or r + j for a zero column).  Any
+    other pattern falls back to ``_components`` on the bipartite adjacency."""
     r, c = m.shape
-    if np.all(m[0] != 0) and np.all(m[:, 0] != 0):
+    if m[0].all() and m[:, 0].all():
         return [(np.arange(r), np.arange(c))]
-    linked = np.zeros((r + c, r + c), dtype=bool)
-    linked[:r, r:] = m != 0
-    linked[r:, :r] = linked[:r, r:].T
-    return [(idx[idx < r], idx[idx >= r] - r) for idx in _components(linked)]
+    met = m != 0
+    top = met.argmax(axis=0)
+    labels = np.concatenate([np.where(met.any(axis=1), top[met.argmax(axis=1)], np.arange(r)),
+                             np.where(met.any(axis=0), top, r + np.arange(c))])
+    if np.array_equal(met, labels[:r, None] == labels[r:]):
+        components = _classes(labels)
+    else:
+        linked = np.zeros((r + c, r + c), dtype=bool)
+        linked[:r, r:] = met
+        linked[r:, :r] = met.T
+        components = _components(linked)
+    return [(idx[idx < r], idx[idx >= r] - r) for idx in components]
 
 
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
@@ -370,27 +431,28 @@ def _svd(m: np.ndarray, full_matrices: bool):
                  for rows, cols in blocks]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    u_all, vh_all = np.zeros((r, r), dtype=dtype), np.zeros((c, c), dtype=dtype)
-    u_paired, vh_paired, u_null, vh_null = [], [], [], []
-    u_at = vh_at = 0
-    for (rows, cols), (u, s, vh) in zip(blocks, parts):
-        u_all[rows, u_at:u_at + rows.size] = u
-        vh_all[vh_at:vh_at + cols.size, cols] = vh
-        u_paired.append(u_at + np.arange(s.size))
-        vh_paired.append(vh_at + np.arange(s.size))
-        u_null.append(u_at + np.arange(s.size, rows.size))
-        vh_null.append(vh_at + np.arange(s.size, cols.size))
-        u_at += rows.size
-        vh_at += cols.size
     s = np.concatenate([s for _, s, _ in parts])
     order = np.argsort(-s, kind="stable")
-    u_all = u_all[:, np.concatenate([np.concatenate(u_paired)[order], *u_null])]
-    vh_all = vh_all[np.concatenate([np.concatenate(vh_paired)[order], *vh_null])]
+    # each block's paired vectors go straight to the ranks of their values
+    # in ``order``, its null vectors after all paired ones, block by block
+    rank = np.empty_like(order)
+    rank[order] = np.arange(s.size)
+    u_all, vh_all = np.zeros((r, r), dtype=dtype), np.zeros((c, c), dtype=dtype)
+    at, u_at, vh_at = 0, s.size, s.size
+    for (rows, cols), (u, paired, vh) in zip(blocks, parts):
+        to = rank[at:at + paired.size]
+        u_to = np.concatenate([to, np.arange(u_at, u_at + rows.size - paired.size)])
+        vh_to = np.concatenate([to, np.arange(vh_at, vh_at + cols.size - paired.size)])
+        u_all[rows[:, None], u_to] = u
+        vh_all[vh_to[:, None], cols] = vh
+        at += paired.size
+        u_at += rows.size - paired.size
+        vh_at += cols.size - paired.size
     k = min(r, c)
     s = np.concatenate([s[order], np.zeros(k - s.size)])
     if not full_matrices:
-        u_all, vh_all = u_all[:, :k], vh_all[:k]
-    return np.ascontiguousarray(u_all), s, np.ascontiguousarray(vh_all)
+        return np.ascontiguousarray(u_all[:, :k]), s, vh_all[:k]
+    return u_all, s, vh_all
 
 
 class _Factorization(NamedTuple):
@@ -402,6 +464,24 @@ class _Factorization(NamedTuple):
     ortho: float
 
 
+def _eigh_block(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """One solver call: eigenvalues descending in stable order, eigenvectors
+    V in that order and ||V* V - I||."""
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    ascending = w.tolist()
+    if all(map(operator.lt, ascending, ascending[1:])):
+        # with no ties the stable order is the reversal, copied in the
+        # column-major layout that the gather v[:, order] makes
+        w, v = w[::-1].copy(), np.array(v[:, ::-1], order="F")
+    else:
+        order = np.argsort(-w, kind="stable")
+        w, v = w[order], v[:, order]
+    return w, v, _frobenius(v.conj().T @ v - np.eye(w.size))
+
+
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenvalues (descending, stable order), eigenvectors V and ||V* V - I||,
     with one solver call per block of ``_blocks``.  Each block's eigenvectors
@@ -411,28 +491,21 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     if h.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=np.result_type(h.dtype, float)), 0.0
     blocks = _blocks(h)
-    values, vectors, residuals = [], [], []
-    for idx in blocks:
-        try:
-            w, v = np.linalg.eigh(h if len(blocks) == 1 else h[np.ix_(idx, idx)])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-        order = np.argsort(-w, kind="stable")
-        v = v[:, order]
-        values.append(w[order])
-        vectors.append(v)
-        residuals.append(_frobenius(v.conj().T @ v - np.eye(idx.size)))
     if len(blocks) == 1:
-        return np.ascontiguousarray(values[0]), np.ascontiguousarray(vectors[0]), residuals[0]
-    w = np.concatenate(values)
-    v = np.zeros((w.size, w.size), dtype=vectors[0].dtype)
-    start = 0
-    for idx, block in zip(blocks, vectors):
-        v[idx, start:start + idx.size] = block
-        start += idx.size
+        w, v, ortho = _eigh_block(h)
+        return w, np.ascontiguousarray(v), ortho
+    parts = [_eigh_block(h[np.ix_(idx, idx)]) for idx in blocks]
+    w = np.concatenate([w for w, _, _ in parts])
     order = np.argsort(-w, kind="stable")
-    return (np.ascontiguousarray(w[order]), np.ascontiguousarray(v[:, order]),
-            math.hypot(*residuals))
+    # each block's eigenvectors go straight to the ranks of their values
+    rank = np.empty_like(order)
+    rank[order] = np.arange(w.size)
+    v = np.zeros((w.size, w.size), dtype=parts[0][1].dtype)
+    start = 0
+    for idx, (_, block, _) in zip(blocks, parts):
+        v[idx[:, None], rank[start:start + idx.size]] = block
+        start += idx.size
+    return w[order], v, math.hypot(*(ortho for _, _, ortho in parts))
 
 
 def _factor(h: np.ndarray) -> _Factorization:
@@ -453,9 +526,14 @@ def _from_spectrum(values, vectors, ortho: float, tol: Tolerances) -> PsdMatrix:
     """V diag(values) V*, kept with that factorization: positivity is judged on
     ``values``, the product gets only the cheap Hermitian and finiteness
     checks, and the unitarity residual ``ortho`` of V is inherited."""
-    order = np.argsort(-values, kind="stable")
-    w = np.ascontiguousarray(values[order])
-    v = np.ascontiguousarray(vectors[:, order])
+    listed = values.tolist()
+    if all(map(operator.ge, listed, listed[1:])):
+        # already in stable descending order
+        w, v = np.array(values, order="C"), np.array(vectors, order="C")
+    else:
+        order = np.argsort(-values, kind="stable")
+        w = np.ascontiguousarray(values[order])
+        v = np.ascontiguousarray(vectors[:, order])
     product = (v * w) @ v.conj().T
     h = _hermitian_part(product, tol)
     _require_psd(w, tol)

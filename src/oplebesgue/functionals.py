@@ -172,6 +172,22 @@ class Functional:
     def __call__(self, a: AlgebraElement) -> complex:
         return evaluate(self, a)
 
+    @cached_property
+    def _induced_form(self) -> SesquilinearForm:
+        """``induced_form(self)``, built on first use and kept: the densities
+        are immutable, so a functional has one induced form."""
+        factored = [rho._factorization() for rho in self.densities]
+        gram = _direct_sum([rho.entries.T for rho in self.densities])
+        values = np.concatenate([f.dec.eigenvalues for f in factored])
+        order = np.argsort(-values, kind="stable")
+        vectors = _direct_sum([f.dec.vectors.conj() for f in factored])
+        recon = math.hypot(*(f.recon for f in factored))
+        ortho = math.hypot(*(f.ortho for f in factored))
+        dec = EigenDecomposition(values[order], vectors[:, order])
+        gram = PsdMatrix._checked(gram, _Factorization(dec, recon, ortho))
+        return SesquilinearForm(self.algebra.basis_labels(), gram,
+                                tuple((n, n) for n in self.algebra.block_dims))
+
 
 def evaluate(w: Functional, a: AlgebraElement) -> complex:
     """w(a) as the sum of blockwise traces against the densities."""
@@ -195,19 +211,11 @@ def induced_form(w: Functional) -> SesquilinearForm:
     one-copy Gram rho_1^T + ... + rho_K^T (sum n_k, not sum n_k^2,
     coordinates), the one matrix a functional is reduced to.  As a direct
     sum of the validated rho^T = conj V diag(lam) V^T it gets no eigensolve
-    and keeps their factorizations, copied block by block.
+    and keeps their factorizations, copied block by block.  The form is
+    built once per functional and kept, so the parallel sum and the
+    decomposition of one functional share it.
     """
-    factored = [rho._factorization() for rho in w.densities]
-    gram = _direct_sum([rho.entries.T for rho in w.densities])
-    values = np.concatenate([f.dec.eigenvalues for f in factored])
-    order = np.argsort(-values, kind="stable")
-    vectors = _direct_sum([f.dec.vectors.conj() for f in factored])
-    recon = math.hypot(*(f.recon for f in factored))
-    ortho = math.hypot(*(f.ortho for f in factored))
-    dec = EigenDecomposition(values[order], vectors[:, order])
-    gram = PsdMatrix._checked(gram, _Factorization(dec, recon, ortho))
-    return SesquilinearForm(w.algebra.basis_labels(), gram,
-                            tuple((n, n) for n in w.algebra.block_dims))
+    return w._induced_form
 
 
 @dataclass(frozen=True, eq=False)

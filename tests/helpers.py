@@ -113,3 +113,49 @@ def anderson_trapp_ac(a, b, rtol=1e-10):
     short = q.conj().T @ b @ q - b12 @ _svd_pinv(b22, cutoff) @ b12.conj().T
     out = q @ short @ q.conj().T
     return (out + out.conj().T) / 2.0
+
+
+def reference_components(linked):
+    """Connected components of a symmetric boolean adjacency, each as an
+    ascending list, in order of their smallest index: a plain breadth-first
+    search over Python lists, sharing no code with the package."""
+    n = len(linked)
+    seen = [False] * n
+    components = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue, component = [start], []
+        while queue:
+            i = queue.pop(0)
+            component.append(i)
+            for j in range(n):
+                if linked[i][j] and not seen[j]:
+                    seen[j] = True
+                    queue.append(j)
+        components.append(sorted(component))
+    return components
+
+
+def reference_blocks(h):
+    """``core._blocks`` by ``reference_components``: i and j linked when
+    h[i, j] or h[j, i] is nonzero."""
+    nonzero = (np.asarray(h) != 0).tolist()
+    n = len(nonzero)
+    return reference_components([[nonzero[i][j] or nonzero[j][i] for j in range(n)]
+                                 for i in range(n)])
+
+
+def reference_svd_blocks(m):
+    """``core._svd_blocks`` by ``reference_components`` on the bipartite
+    graph of rows 0..r-1 and columns r..r+c-1, row i and column j linked
+    when m[i, j] is nonzero."""
+    nonzero = (np.asarray(m) != 0).tolist()
+    r, c = np.shape(m)
+    linked = [[False] * (r + c) for _ in range(r + c)]
+    for i in range(r):
+        for j in range(c):
+            linked[i][r + j] = linked[r + j][i] = nonzero[i][j]
+    return [([k for k in comp if k < r], [k - r for k in comp if k >= r])
+            for comp in reference_components(linked)]

@@ -37,7 +37,7 @@ from oplebesgue.core import (
     psd_difference,
 )
 
-from helpers import random_psd, random_unitary
+from helpers import random_psd, random_unitary, reference_blocks, reference_svd_blocks
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -257,6 +257,19 @@ def test_array_protocol_copies_when_asked():
     assert m.entries[0, 0] == 1.0
     for viewed in (np.asarray(m), np.array(m, copy=False)):
         assert viewed is m.entries
+
+
+def test_array_protocol_honours_copy_false_with_a_dtype():
+    # complex128 is the stored dtype, so it needs no copy; any other dtype
+    # needs a cast, which copy=False forbids (it used to drop the imaginary
+    # parts of a copy)
+    m = PsdMatrix([[2.0, 1j], [-1j, 2.0]])
+    assert np.array(m, dtype=np.complex128, copy=False) is m.entries
+    assert np.asarray(m, dtype=np.complex128) is m.entries
+    copied = np.array(m, dtype=np.complex128)
+    assert not np.shares_memory(copied, m.entries) and np.array_equal(copied, m.entries)
+    with pytest.raises(ValueError, match="needs a copy"):
+        np.array(m, dtype=float, copy=False)
 
 
 def test_zero_dimensional_matrix_supported():
@@ -588,6 +601,115 @@ def test_empty_inputs_make_no_solver_call(eigensolves, shape, full):
     for part, ref in zip(got, np.linalg.svd(m, full_matrices=full)):
         assert part.shape == ref.shape and part.dtype == ref.dtype
         assert np.array_equal(part, ref)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_frobenius_is_numpys_norm_bitwise(kind):
+    rng = np.random.default_rng([50, kind == "complex"])
+    for exponent in range(-150, 151, 10):
+        x = rng.normal(size=(9, 7)) * 10.0**exponent
+        if kind == "complex":
+            x = x + 1j * rng.normal(size=(9, 7)) * 10.0**exponent
+        for view in (x, np.asfortranarray(x), x.T, x[::2, 1::3], x[:, ::-1], x.reshape(-1)[::5]):
+            ref = float(np.linalg.norm(view))
+            assert 1e-150 <= ref < np.inf
+            assert _frobenius(view).hex() == ref.hex()
+
+
+@pytest.mark.parametrize("seed, scale, norms", [
+    (51, 1e200, (6.29352001607562e+200, 4.242865505816114e+200)),
+    (52, 1e-200, (6.192177701888398e-200, 3.597702177784228e-200)),
+])
+def test_frobenius_rescales_outside_the_squaring_range(seed, scale, norms):
+    # the values the rescaling gave before the norm stopped going through
+    # numpy.linalg.norm, where squaring overflows or underflows
+    rng = np.random.default_rng(seed)
+    m = (rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))) * scale
+    assert (_frobenius(m), _frobenius(m.real.copy()), _frobenius(m.T)) == (norms[0], norms[1],
+                                                                          norms[0])
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (0, 0), (0, 4)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_frobenius_of_zero_and_empty_input_is_zero(shape, dtype):
+    assert _frobenius(np.zeros(shape, dtype=dtype)) == 0.0
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e308])
+def test_hermitian_part_scans_entries_only_when_the_norm_is_not_finite(entry):
+    # finite entries whose norm overflows pass; a non-finite one is caught
+    m = np.full((8, 8), 1e308)
+    m[3, 5] = m[5, 3] = entry
+    if np.isfinite(entry):
+        assert np.array_equal(_hermitian_part(m, DEFAULT_TOL), m)
+    else:
+        with pytest.raises(ValueError, match="must be finite"):
+            _hermitian_part(m, DEFAULT_TOL)
+
+
+def _no_search(linked):
+    raise AssertionError("the clique test should have settled this pattern")
+
+
+def _square_pattern(rng, kind):
+    """A complex matrix whose nonzero pattern is interleaved cliques, with
+    zero rows and columns for ``zero-lines``, joined by one-sided extra links
+    for ``connected``."""
+    n = int(rng.integers(2, 24))
+    labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+    linked = labels[:, None] == labels
+    if kind == "zero-lines":
+        dead = rng.random(n) < 0.3
+        linked[dead] = False
+        linked[:, dead] = False
+    elif kind == "connected":
+        linked |= rng.random((n, n)) < 1.5 / n
+    return np.where(linked, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0.0)
+
+
+def _bipartite_pattern(rng, kind):
+    """A rectangular complex matrix whose nonzero pattern is interleaved
+    complete bipartite blocks (classes with no row or no column leave zero
+    lines), with more zero lines for ``zero-lines`` and with links removed
+    and added for ``connected``."""
+    r, c = (int(d) for d in rng.integers(1, 20, size=2))
+    classes = int(rng.integers(1, 6))
+    met = rng.integers(0, classes, size=r)[:, None] == rng.integers(0, classes, size=c)
+    if kind == "zero-lines":
+        met[rng.random(r) < 0.2] = False
+        met[:, rng.random(c) < 0.2] = False
+    elif kind == "connected":
+        met = (met & (rng.random((r, c)) < 0.8)) | (rng.random((r, c)) < 1.0 / max(r, c))
+    return np.where(met, rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c)), 0.0)
+
+
+@pytest.mark.parametrize("kind", ["cliques", "zero-lines", "connected"])
+def test_blocks_match_a_reference_search(monkeypatch, kind):
+    searches = []
+    if kind == "connected":
+        search = core._components
+        monkeypatch.setattr(core, "_components", lambda linked: searches.append(1) or search(linked))
+    else:
+        monkeypatch.setattr(core, "_components", _no_search)
+    for seed in range(400):
+        h = _square_pattern(np.random.default_rng([41, seed]), kind)
+        assert [idx.tolist() for idx in _blocks(h)] == reference_blocks(h)
+    assert kind != "connected" or len(searches) > 100
+
+
+@pytest.mark.parametrize("kind", ["bicliques", "zero-lines", "connected"])
+def test_svd_blocks_match_a_reference_search(monkeypatch, kind):
+    searches = []
+    if kind == "connected":
+        search = core._components
+        monkeypatch.setattr(core, "_components", lambda linked: searches.append(1) or search(linked))
+    else:
+        monkeypatch.setattr(core, "_components", _no_search)
+    for seed in range(400):
+        m = _bipartite_pattern(np.random.default_rng([42, seed]), kind)
+        got = [(rows.tolist(), cols.tolist()) for rows, cols in _svd_blocks(m)]
+        assert got == reference_svd_blocks(m)
+    assert kind != "connected" or len(searches) > 100
 
 
 def test_only_core_calls_the_eigensolvers():

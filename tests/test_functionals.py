@@ -94,6 +94,14 @@ def test_induced_form_m2_rank_two():
     assert np.linalg.matrix_rank(got) == 2
 
 
+def test_induced_form_is_built_once_per_functional():
+    # the parallel sum and the decomposition of one functional share it
+    w = random_functional(np.random.default_rng(60))
+    form = induced_form(w)
+    assert induced_form(w) is form
+    assert induced_form(functional(MIXED, [rho.entries for rho in w.densities])) is not form
+
+
 def test_induced_form_matches_direct_evaluation():
     # the blockwise closed form must agree with w(u_p* u_q) entry by entry
     rng = np.random.default_rng(61)
