@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_TOL, PsdMatrix, Tolerances, _eigvalsh, _frobenius
+from .core import DEFAULT_TOL, PsdMatrix, Tolerances, _eigh, _frobenius
 from .forms import SesquilinearForm, form_decompose, form_parallel_sum
 from .functionals import Functional, functional_decompose, functional_parallel_sum, induced_form
 from .lebesgue import (
@@ -190,7 +190,7 @@ def _to_json(x):
 
 
 def _min_eig(diff: np.ndarray) -> float:
-    return float(_eigvalsh(diff)[0]) if diff.shape[0] else 0.0
+    return float(_eigh(diff)[0][-1]) if diff.shape[0] else 0.0
 
 
 def _cmd_psum(args, problem, tol, digest):

@@ -39,6 +39,14 @@ class DimensionMismatchError(ValueError):
     """Operands live on spaces of different dimension."""
 
 
+def as_count(value, least: int, what: str) -> int:
+    """``value`` as a Python int of at least ``least``: an int or a numpy
+    integer, never a bool, nor a float that a cast would silently truncate."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical policy shared by every operation in the package.
@@ -61,10 +69,10 @@ class Tolerances:
     def __post_init__(self):
         for name in ("rank_rtol", "psd_slack", "iter_tol", "recon_tol"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+            if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                               and 0 < value < math.inf):
                 raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
+        object.__setattr__(self, "max_iter", as_count(self.max_iter, 1, "max_iter"))
 
     def support(self, eigenvalues: np.ndarray, reference: float = 0.0) -> np.ndarray:
         """True where an eigenvalue counts as nonzero: above ``rank_rtol`` times
@@ -289,15 +297,14 @@ def gram_roundoff(dim: int, mass: float) -> float:
 
 def psd_difference(x: PsdMatrix, y: PsdMatrix, noise: float, context: str,
                    tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
-    """X - Y for a derived Y <= X, validated by one ``eigvalsh`` against ``noise``,
-    the round-off of the computations that derived Y at the scale of their
-    inputs (not 1 + its own); below ``-noise``, ``context`` failed."""
+    """X - Y for a derived Y <= X, validated on its own ``eigh`` against
+    ``noise``, the round-off of the computations that derived Y at the scale
+    of their inputs (not 1 + its own); below ``-noise``, ``context`` failed.
+    The difference keeps the factorization it was judged on."""
     h = _hermitian_part(x.entries - y.entries, tol)
-    smallest = float(_eigvalsh(h)[0]) if h.shape[0] else 0.0
-    if smallest < -noise:
-        raise NumericalError(f"{context} lost positivity beyond round-off ({smallest:.3e})",
-                             residual=-smallest)
-    return PsdMatrix._checked(h, None)
+    factored = _factor(h)
+    _require_above(factored.dec.eigenvalues, noise, context)
+    return PsdMatrix._checked(h, factored)
 
 
 def _components(linked: np.ndarray) -> list[np.ndarray]:
@@ -387,21 +394,6 @@ def _svd_blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         linked[r:, :r] = met.T
         components = _components(linked)
     return [(idx[idx < r], idx[idx >= r] - r) for idx in components]
-
-
-def _eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues ascending: the sorted union over the blocks of ``_blocks``,
-    one solver call each (none for a 0 x 0 input)."""
-    if h.shape[0] == 0:
-        return np.zeros(0)
-    blocks = _blocks(h)
-    try:
-        if len(blocks) == 1:
-            return np.linalg.eigvalsh(h)
-        parts = [np.linalg.eigvalsh(h[np.ix_(idx, idx)]) for idx in blocks]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
-    return np.sort(np.concatenate(parts))
 
 
 def _svd(m: np.ndarray, full_matrices: bool):
@@ -698,11 +690,11 @@ def range_projection(m: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
 def loewner_leq(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether A is below B in the Loewner order, with norm-scaled slack.
 
-    True iff the smallest eigenvalue of B - A is at least
-    ``-psd_slack * (1 + ||B||_F)``.
+    True iff the smallest eigenvalue of B - A, from one ``eigh``, is at
+    least ``-psd_slack * (1 + ||B||_F)``.
     """
     require_same_dim(a, b)
     if a.dim == 0:
         return True
-    w = _eigvalsh(b.entries - a.entries)
-    return float(w[0]) >= -tol.psd_slack * (1.0 + b.norm)
+    w = _eigh(b.entries - a.entries)[0]
+    return float(w[-1]) >= -tol.psd_slack * (1.0 + b.norm)

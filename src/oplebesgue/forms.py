@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_TOL, PsdMatrix, Tolerances
+from .core import DEFAULT_TOL, PsdMatrix, Tolerances, as_count
 from .lebesgue import LebesgueDecomposition, Method, decompose
 from .parallel import parallel_sum
 
@@ -46,8 +46,9 @@ class SesquilinearForm:
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be unique")
         layout = ((g.dim, 1),) if self.layout is None else tuple(
-            (int(d), int(m)) for d, m in self.layout)
-        if any(d < 0 or m < 1 for d, m in layout) or sum(d for d, _ in layout) != g.dim:
+            (as_count(d, 0, "a layout size"), as_count(m, 1, "a layout multiplicity"))
+            for d, m in self.layout)
+        if sum(d for d, _ in layout) != g.dim:
             raise ValueError(f"layout {layout} does not match Gram dimension {g.dim}")
         if len(labels) != sum(d * m for d, m in layout):
             raise ValueError(

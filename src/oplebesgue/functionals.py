@@ -22,6 +22,7 @@ from .core import (
     PsdMatrix,
     Tolerances,
     _Factorization,
+    as_count,
     clip_psd,
     eig_hermitian,
 )
@@ -54,12 +55,10 @@ class StarAlgebra:
     block_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.block_dims)
-        object.__setattr__(self, "block_dims", dims)
+        dims = tuple(as_count(n, 1, "a block dimension") for n in self.block_dims)
         if not dims:
             raise ValueError("algebra needs at least one block")
-        if any(n < 1 for n in dims):
-            raise ValueError("block dimensions must be positive")
+        object.__setattr__(self, "block_dims", dims)
 
     @property
     def total_dim(self) -> int:

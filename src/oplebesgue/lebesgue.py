@@ -1,8 +1,10 @@
 """Lebesgue decomposition B = B_a + B_s of a PSD matrix relative to a reference.
 
-Two routes are implemented: the Arlinskii fixed-point iteration, whose limit
-is the singular part, and the direct construction on the auxiliary space of
-the sum C = A + B, where the singular part is a compressed kernel projection.
+Three routes are dispatched by ``decompose``: the Arlinskii fixed-point
+iteration, whose limit is the singular part; the direct construction on the
+auxiliary space of the sum C = A + B, where the singular part is a
+compressed kernel projection; and Ando's doubling limit of (2^k A) : B,
+which lives in ``parallel`` (``ando_ac_part``).
 """
 
 from __future__ import annotations

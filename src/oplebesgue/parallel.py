@@ -15,7 +15,6 @@ from .core import (
     PsdMatrix,
     Tolerances,
     _eigh,
-    _eigvalsh,
     _frobenius,
     _require_above,
     clip_psd,
@@ -72,7 +71,7 @@ def _settle(h: np.ndarray, upper: np.ndarray, noise: float, scale: float, tol: T
     sums, where Z = upper - Y is the matrix clipped to C, and Y is PSD up to
     its rebuild round-off, so lambda_min(X) >= floor(Z - C) - that round-off
     - the sums' rounding (``clip_psd_with_floor``).  Only when that bound
-    misses the threshold does one ``eigvalsh`` of X decide.
+    misses the threshold does one ``_eigh`` of X decide.
     """
     n = upper.shape[0]
     if n == 0:
@@ -85,7 +84,7 @@ def _settle(h: np.ndarray, upper: np.ndarray, noise: float, scale: float, tol: T
     low = (floor - gram_roundoff(n, y.trace)
            - np.finfo(float).eps * (_frobenius(upper) + y.norm + complement.norm))
     if low < threshold:
-        low = float(_eigvalsh(x)[0])
+        low = float(_eigh(x)[0][-1])
         if low < threshold:
             raise NumericalError(f"{context} did not settle above zero ({low:.3e})",
                                  residual=-low)

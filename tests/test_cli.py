@@ -219,15 +219,15 @@ def test_form_psum_runs_one_parallel_sum(capsys, eigensolves):
     # eigh validates the two input Grams on the factorizations they keep; the
     # sum is solved in the eigenbasis of T = [[1, 1], [1, 1]], dense, with one
     # eigh for the Schur complement on its 1-dim kernel and one to clip the
-    # 1-dim kept block; eigvalsh computes the two min-eig diagnostics.
+    # 1-dim kept block; eigh computes the two min-eig diagnostics.
     # W = diag(1, 0) and W - T:W (T:W = 0) split into two decoupled 1-dim
     # blocks, one call each
     assert Counter((name, h.shape[0]) for name, h in eigensolves) == {
-        ("eigh", 2): 1, ("eigh", 1): 4, ("eigvalsh", 2): 1, ("eigvalsh", 1): 2}
+        ("eigh", 2): 2, ("eigh", 1): 6}
 
 
 @pytest.mark.parametrize("args,expected", [
-    (("psum",), {("eigh", 2): 3, ("eigh", 1): 6, ("eigvalsh", 2): 2, ("eigvalsh", 1): 2}),
+    (("psum",), {("eigh", 2): 5, ("eigh", 1): 8}),
     (("decompose",), {("eigh", 2): 2, ("eigh", 1): 11, ("svd", 4): 1, ("svd", 2): 1,
                       ("svd", 1): 1}),
     (("decompose", "--cross-check"), {("eigh", 2): 8, ("eigh", 1): 16, ("svd", 4): 1,
@@ -242,7 +242,7 @@ def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolve
     # the eigh each keeps (one 2-dim call and four 1-dim ones: v's first
     # density is I_2), and the recovered parts keep the eigh of their clip, so
     # decompose's singularity norm and range leak factor neither v's Gram
-    # nor sing's; psum's two eigvalsh per size are its min-eig diagnostics.
+    # nor sing's; psum's last two eigh per size are its min-eig diagnostics.
     # The induced forms declare two copies of the 2-dim block and one of the
     # 1-dim block, so every route runs on the 3-dim one-copy Grams, which
     # keep their densities' factorizations: no route factors a Gram.
@@ -255,7 +255,7 @@ def test_functional_commands_do_not_revalidate_the_direct_sum(capsys, eigensolve
     # complement onto ran A.
     # iterate's congruence is one thin QR of the 5 x 3 stack [diag(lam)^(1/2),
     # F]*, and one 2 x 2 SVD factors its Q_F.
-    # Revalidating a direct sum, by eigh or eigvalsh, adds a call per block
+    # Revalidating a direct sum adds an eigh per block
     # of it and changes the tally
     code, _, _ = run_json(capsys, *args, str(DATA / "functional_pair.json"))
     assert code == 0

@@ -145,6 +145,12 @@ def test_a_declared_layout_must_match_the_labels_and_be_block_diagonal():
         SesquilinearForm(labels, g, ((2, 3), (2, 2)))
     with pytest.raises(ValueError, match="layout"):
         SesquilinearForm(labels[:3], g, ((1, 0), (2, 1), (0, 1)))
+    # sizes and multiplicities are integers, never truncated floats or bools
+    for layout in (((2.9, 2.0), (1, 3)), ((1, 3), (2, 2.0)), ((True, 3), (2, 2))):
+        with pytest.raises(ValueError, match="layout"):
+            SesquilinearForm(labels, g, layout)
+    declared = SesquilinearForm(labels, g, ((np.int64(1), np.int32(3)), (2, np.uint8(2))))
+    assert declared.layout == ((1, 3), (2, 2))
     coupled = PsdMatrix([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValueError, match="block diagonal"):
         SesquilinearForm(labels, coupled, ((1, 3), (2, 2)))

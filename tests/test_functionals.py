@@ -45,6 +45,11 @@ def test_algebra_validation():
         StarAlgebra(())
     with pytest.raises(ValueError):
         StarAlgebra((2, 0))
+    # a size is an integer: no float is truncated and no bool counts as 1
+    for dims in ((2.7, True), (2, 1.0), (True,)):
+        with pytest.raises(ValueError, match="block dimension"):
+            StarAlgebra(dims)
+    assert StarAlgebra((np.int64(2), np.uint8(1))).block_dims == (2, 1)
     assert MIXED.total_dim == 4 + 9 + 1
 
 

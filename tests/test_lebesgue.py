@@ -14,6 +14,7 @@ from oplebesgue import (
     auxiliary_space,
     decompose,
     direct_decompose,
+    eig_hermitian,
     is_absolutely_continuous,
     is_singular,
     loewner_leq,
@@ -194,22 +195,25 @@ def test_iterate_limit_certificate_lies_below_the_spectrum(monkeypatch, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_iterate_limit_falls_back_to_the_exact_check(monkeypatch, seed):
     # the certificate's round-off term grows with n; where it alone exceeds
-    # the noise, one eigvalsh of B - sing decides and ac is what it was
+    # the noise, one eigh of B - sing decides, ac is what it was, and it
+    # keeps the factorization it was judged on
     a, b = _rank_deficient_pair(seed)
     certified = arlinskii_iterate(a, b)
     solves = []
-    real = core._eigvalsh
+    real = core._factor
 
     def counted(h):
         solves.append(h.shape)
         return real(h)
 
     monkeypatch.setattr(lebesgue, "roundoff", lambda dim, scale: 1e6 * scale)
-    monkeypatch.setattr(core, "_eigvalsh", counted)
+    monkeypatch.setattr(core, "_factor", counted)
     checked = arlinskii_iterate(a, b)
     assert solves == [(12, 12)]
     assert np.array_equal(checked.ac.entries, certified.ac.entries)
     assert np.array_equal(checked.sing.entries, certified.sing.entries)
+    eig_hermitian(checked.ac)
+    assert solves == [(12, 12)]
     exact = psd_difference(b, certified.sing, 1.0, "test")
     assert np.array_equal(checked.ac.entries, exact.entries)
 
@@ -397,8 +401,6 @@ def test_direct_kernel_projection_is_projection():
     for _ in range(10):
         a, b = random_pair(rng, max_dim=8)
         aux = auxiliary_space(a, b)
-        from oplebesgue import eig_hermitian
-
         dec = eig_hermitian(aux.a_tilde)
         w = dec.eigenvalues
         cutoff = DEFAULT_TOL.rank_rtol * max(float(w[0]), 0.0) if w.size else 0.0

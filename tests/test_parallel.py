@@ -1,5 +1,6 @@
 """Parallel sum: closed form, variational oracle, doubling limit, spectral shortcut."""
 
+import sys
 from collections import Counter
 from functools import partial
 
@@ -155,7 +156,7 @@ def test_window_pair_forms_the_kept_block_on_an_uncertified_schur_complement(eig
     # Sigma and forms the 3 x 3 kept block through Sigma's eigenbasis.  ando takes
     # its rank decision once, on B's block on ker A, keeps s, and certifies
     # Sigma_k - 2 e by Cholesky at the first term: every term is the kept
-    # block, and the settle on ran A runs one round with no eigvalsh.  Sent
+    # block, and the settle on ran A runs one round with no exact eigh.  Sent
     # through the full product through Sigma's pseudoinverse instead, either
     # would carry cond(Sigma) eps of error in its kernel block
     rng = np.random.default_rng(7)
@@ -379,17 +380,20 @@ def test_drawn_pairs_on_one_schedule_converge_near_direct_and_iterate(monkeypatc
     *draw, bound = draw
     a, b = _draw(*draw)
     seen = []
-    clip, exact_check = parallel.clip_psd_with_floor, parallel._eigvalsh
+    clip, exact_check = parallel.clip_psd_with_floor, parallel._eigh
 
     def counted(h, tol):
         seen.append("round")
         return clip(h, tol)
 
     def checked(h):
-        seen.append("eigvalsh")
+        # parallel_sum and ando factor with _eigh too; only the settle's own
+        # call is its exact check
+        if sys._getframe(1).f_code is parallel._settle.__code__:
+            seen.append("eigh")
         return exact_check(h)
 
-    monkeypatch.setattr(parallel, "_eigvalsh", checked)
+    monkeypatch.setattr(parallel, "_eigh", checked)
     monkeypatch.setattr(parallel, "clip_psd_with_floor", counted)
     result = ando_ac_part(a, b)
     assert result.converged
@@ -403,33 +407,36 @@ def test_drawn_pairs_on_one_schedule_converge_near_direct_and_iterate(monkeypatc
 @pytest.mark.parametrize("draw", [(5, 0, 1e3), ([31, 12], 80, 1e12), ([31, 12], 93, 1e12),
                                   ([31, 10], 0, 1e10)])
 def test_settle_without_its_certificate_ends_bitwise_the_same(monkeypatch, draw):
-    # the settle is one clip round, certified with no eigvalsh; with the
-    # certificate refused, the round runs the exact eigvalsh, and the settled
+    # the settle is one clip round, certified with no eigensolve; with the
+    # certificate refused, the round runs the exact eigh, and the settled
     # limit and its complement come out bitwise the same.  Each settles on
     # ran A and the directions of B on ker A under the rank cutoff
     a, b = _draw(*draw)
     seen = []
-    clip, exact_check = parallel.clip_psd_with_floor, parallel._eigvalsh
+    clip, exact_check = parallel.clip_psd_with_floor, parallel._eigh
 
     def counted(h, tol):
         seen.append("round")
         return clip(h, tol)
 
     def checked(h):
-        seen.append("eigvalsh")
+        # parallel_sum and ando factor with _eigh too; only the settle's own
+        # call is its exact check
+        if sys._getframe(1).f_code is parallel._settle.__code__:
+            seen.append("eigh")
         return exact_check(h)
 
     def refused(h, tol):
         return counted(h, tol)[0], -np.inf
 
-    monkeypatch.setattr(parallel, "_eigvalsh", checked)
+    monkeypatch.setattr(parallel, "_eigh", checked)
     monkeypatch.setattr(parallel, "clip_psd_with_floor", counted)
     certified = ando_ac_part(a, b)
     assert seen == ["round"]
     seen.clear()
     monkeypatch.setattr(parallel, "clip_psd_with_floor", refused)
     exact = ando_ac_part(a, b)
-    assert seen == ["round", "eigvalsh"]
+    assert seen == ["round", "eigh"]
     assert np.array_equal(exact.ac_part.entries, certified.ac_part.entries)
     assert np.array_equal(exact.sing_part.entries, certified.sing_part.entries)
     assert (exact.terms_used, exact.converged) == (certified.terms_used, certified.converged)
