@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,6 +48,11 @@ def as_count(value, least: int, what: str) -> int:
     return int(value)
 
 
+def _is_real(value) -> bool:
+    """A Python or numpy integer or float, never a bool (numpy's included)."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical policy shared by every operation in the package.
@@ -69,9 +75,15 @@ class Tolerances:
     def __post_init__(self):
         for name in ("rank_rtol", "psd_slack", "iter_tol", "recon_tol"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, (int, float))
-                                               and 0 < value < math.inf):
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r} of type "
+                                 f"{type(value).__name__}")
+            # a numpy scalar is compared as a Python float, and a Python int
+            # beyond the float range is no more finite than inf
+            number = float(value) if isinstance(value, np.generic) else value
+            if not 0 < number <= sys.float_info.max:
                 raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
+            object.__setattr__(self, name, float(number))
         object.__setattr__(self, "max_iter", as_count(self.max_iter, 1, "max_iter"))
 
     def support(self, eigenvalues: np.ndarray, reference: float = 0.0) -> np.ndarray:
@@ -167,8 +179,12 @@ class PsdMatrix:
         require_same_dim(self, other)
         return PsdMatrix(self._entries + other._entries)
 
+    # numpy defers its operators to ours, so np.float64(2) * m reaches
+    # __rmul__ and is validated like 2.0 * m; ndarray + m raises TypeError
+    __array_ufunc__ = None
+
     def __mul__(self, scalar) -> PsdMatrix:
-        if not isinstance(scalar, (int, float)):
+        if not _is_real(scalar):
             return NotImplemented
         if scalar < 0:
             raise ValueError("scaling a PSD matrix requires a nonnegative factor")
@@ -557,46 +573,6 @@ def _require_above(w: np.ndarray, noise: float, context: str) -> None:
             f"{context} lost positivity beyond round-off ({w[-1]:.3e})",
             residual=float(-w[-1]),
         )
-
-
-def _turned(u: np.ndarray, ortho: float, start: int, v: np.ndarray,
-            v_ortho: float) -> tuple[np.ndarray, float]:
-    """(Q, bound): U with its k = v.shape[0] columns U_k from ``start`` on
-    turned by V, and a bound on Q's unitarity residual.  With u and o those
-    of U and V, the computed U_k V errs by ||E||_F <= e = ``gram_roundoff(k,
-    k g)``, where g = (1 + u) (1 + o) bounds ||U_k||_F^2 ||V||_F^2 / k^2, so
-    Q = U diag(I, V, I) + [0 | E | 0] has residual at most (1 + o) u + o +
-    (2 sqrt(g) + e) e."""
-    k = v.shape[0]
-    g = (1.0 + ortho) * (1.0 + v_ortho)
-    e = gram_roundoff(k, k * g)
-    q = u.copy()
-    q[:, start:start + k] = u[:, start:start + k] @ v
-    return q, (1.0 + v_ortho) * ortho + v_ortho + (2.0 * math.sqrt(g) + e) * e
-
-
-def clip_psd_in_eigenbasis(h: np.ndarray, m: PsdMatrix, turn: np.ndarray, turn_ortho: float,
-                           noise: float, tol: Tolerances, context: str) -> PsdMatrix:
-    """Q1 C Q1* for C the clip of ``h`` (as ``clip_psd``), where Q = [U1 | U0
-    W] = [Q1 | Q0] is M's eigenbasis U = [U1 | U0] with its trailing columns
-    turned by W = ``turn`` (unitarity residual ``turn_ortho``), and ``h`` is
-    given in Q1.  Only ``h`` is factored, C = V diag(c) V*; the result keeps
-    the factorization [Q1 V | Q0], zeros on Q0, with a unitarity residual
-    bound composed from U's, W's and V's (``_turned``)."""
-    w, v, o = _eigh(h / 2.0 + h.conj().T / 2.0)
-    _require_above(w, noise, context)
-    k = w.size
-    u = eig_hermitian(m, tol).vectors
-    basis, ortho = _turned(u, m._factorization().ortho, m.dim - turn.shape[0], turn, turn_ortho)
-    basis, ortho = _turned(basis, ortho, 0, v, o)
-    # the clipped values stay descending and nonnegative, and the zeros on Q0
-    # are left out of the product
-    c = np.clip(w, 0.0, None)
-    lifted = basis[:, :k]
-    product = (lifted * c) @ lifted.conj().T
-    entries = _hermitian_part(product, tol)
-    dec = EigenDecomposition(np.concatenate([c, np.zeros(m.dim - k)]), basis)
-    return PsdMatrix._checked(entries, _Factorization(dec, _frobenius(entries - product), ortho))
 
 
 def _clip(h: np.ndarray, tol: Tolerances):

@@ -18,7 +18,6 @@ from .core import (
     _frobenius,
     _require_above,
     clip_psd,
-    clip_psd_in_eigenbasis,
     clip_psd_with_floor,
     eig_hermitian,
     gram_roundoff,
@@ -153,8 +152,10 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     rule ``tol.support(w, ||S||)`` splits W into the kept W+ and the dropped
     W0; Sigma^+ is applied as W+ diag(1/w+) W+*, and the product vanishes on
     U0 W+, so it is formed only on Q1 = [U1 | U0 W0] (``_term``): the r x r
-    kept block when nothing is dropped.  The result Q1 C Q1* keeps the
-    factorization [Q1 V | U0 W+].
+    kept block when nothing is dropped.  That block is clipped on its one
+    eigensolve, C = V diag(max(c, 0)) V*, and the result is the Gram
+    product Q1 C Q1*, PSD by construction (``psd_by_construction``): it is
+    factored only if its spectrum is read.
 
     Positivity bound.  With G = h^-1 S10 and L = [I 0; G* I], the split
     computes S (D + S)^+ S = Y* diag(h^-1, Sigma^+) Y for Y = L^-1 U* S U.
@@ -175,7 +176,7 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     lam = dec.eigenvalues[tol.support(dec.eigenvalues)]
     st = _rotated(dec.vectors, small.entries)
     solved, schur = _schur(lam, st)
-    w, v, ortho = _eigh(schur)
+    w, v, _ = _eigh(schur)
     _require_above(w, roundoff(a.dim, small.norm), "Schur complement")
     # w descends, so the kept directions lead; the dropped ones lead the turn
     q = int(np.count_nonzero(tol.support(w, small.norm)))
@@ -183,7 +184,12 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     t = _term(st, solved, lambda rhs: (kept / w[:q]) @ (kept.conj().T @ rhs), v[:, q:])
     inverse = max(1.0 / lam[-1] if lam.size else 0.0, 1.0 / w[q - 1] if q else 0.0)
     noise = roundoff(a.dim, a.norm + b.norm + small.norm + small.norm * (small.norm * inverse))
-    return clip_psd_in_eigenbasis(t, big, np.roll(v, -q, axis=1), ortho, noise, tol, "parallel sum")
+    c, vc, _ = _eigh(t / 2.0 + t.conj().T / 2.0)
+    _require_above(c, noise, "parallel sum")
+    # Q1 V, with U0 W0 taken from the whole turned kernel basis U0 [W0 | W+]
+    u, r = dec.vectors, lam.size
+    lifted = np.hstack([u[:, :r], (u[:, r:] @ np.roll(v, -q, axis=1))[:, :c.size - r]]) @ vc
+    return psd_by_construction((lifted * np.clip(c, 0.0, None)) @ lifted.conj().T, tol)
 
 
 def variational_value(

@@ -22,8 +22,9 @@ from oplebesgue import (
     functional_parallel_sum,
     gns,
     induced_form,
+    parallel_sum,
 )
-from oplebesgue.core import psd_by_construction
+from oplebesgue.core import _blocks, psd_by_construction
 
 from helpers import hostile_functional, random_pair, random_psd
 
@@ -61,6 +62,26 @@ def test_trusted_constructor_rejects_non_hermitian_and_non_square():
         psd_by_construction([[1e200, 1e200], [0.0, 1e200]])
     with pytest.raises(ValueError, match="square"):
         psd_by_construction(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("kind", ["parallel_sum", "parallel_sum_deflated"])
+def test_parallel_sum_is_factored_only_when_read(eigensolves, kind):
+    rng = np.random.default_rng(4)
+    a, b = random_psd(rng, 9, rank=5), random_psd(rng, 9, rank=7)
+    if kind == "parallel_sum_deflated":
+        # a norm mismatch of 1e4: the larger operand's kernel splits the solve
+        b = 1e4 * b
+    eigensolves.clear()
+    m = parallel_sum(a, b)
+    # B is the larger operand: Sigma on its 2-dim kernel, then the 7 x 7
+    # kept block, clipped; the Gram product it returns is not factored
+    assert [(name, h.shape[0]) for name, h in eigensolves] == [("eigh", 2), ("eigh", 7)]
+    eigensolves.clear()
+    dec = eig_hermitian(m)
+    assert [(name, h.shape[0]) for name, h in eigensolves] == [
+        ("eigh", idx.size) for idx in _blocks(m.entries)]
+    fresh = np.sort(np.linalg.eigvalsh(m.entries))[::-1]
+    assert np.allclose(dec.eigenvalues, fresh, rtol=0.0, atol=1e-12 * m.norm)
 
 
 @pytest.mark.parametrize("spread,across", [

@@ -283,6 +283,32 @@ def test_negative_scaling_rejected():
         (-1.0) * PsdMatrix.identity(2)
 
 
+@pytest.mark.parametrize("factor", [np.int64(-2), np.float64(-3.0), np.float32(-0.5)])
+def test_negative_numpy_scalars_are_rejected_on_either_side(factor):
+    m = PsdMatrix.identity(2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        m * factor
+    with pytest.raises(ValueError, match="nonnegative"):
+        factor * m
+
+
+@pytest.mark.parametrize("factor", [np.float32(2.0), np.int64(2), np.float64(2.0), np.uint8(2)])
+def test_numpy_scalars_scale_through_the_constructor(factor):
+    m = PsdMatrix(np.diag([1.0, 0.5]))
+    for scaled in (m * factor, factor * m):
+        assert type(scaled) is PsdMatrix
+        assert np.array_equal(scaled.entries, np.diag([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("factor", [True, np.True_, 2j, np.complex128(2.0)])
+def test_bool_and_complex_factors_are_rejected(factor):
+    m = PsdMatrix.identity(2)
+    with pytest.raises(TypeError):
+        m * factor
+    with pytest.raises(TypeError):
+        factor * m
+
+
 @given(
     rank_rtol=st.floats(1e-15, 1e-2),
     psd_slack=st.floats(1e-15, 1e-2),
@@ -318,6 +344,28 @@ def test_tolerances_accept_positive_values(rank_rtol, psd_slack, iter_tol, max_i
 def test_tolerances_reject_non_positive(kwargs):
     with pytest.raises(ValueError):
         Tolerances(**kwargs)
+
+
+_FLOAT_FIELDS = ["rank_rtol", "psd_slack", "iter_tol", "recon_tol"]
+
+
+@pytest.mark.parametrize("value", [np.float32(1e-10), np.int64(1), np.float64(1e-9), np.uint8(3)])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_tolerances_store_numpy_reals_as_python_floats(name, value):
+    stored = getattr(Tolerances(**{name: value}), name)
+    assert type(stored) is float and stored == float(value)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, np.False_])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_tolerances_reject_bools_by_type(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a real number, got .* of type bool"):
+        Tolerances(**{name: value})
+
+
+def test_tolerances_reject_an_int_beyond_the_float_range():
+    with pytest.raises(ValueError, match="strictly positive and finite"):
+        Tolerances(recon_tol=10**400)
 
 
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))

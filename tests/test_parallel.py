@@ -85,9 +85,8 @@ def test_parallel_sum_clears_the_bound_on_an_ill_conditioned_split():
 
 def test_nonsingular_split_stays_on_the_larger_range(monkeypatch, eigensolves):
     # B is invertible, so the Schur complement on ker A is nonsingular: the
-    # result is A's kept eigenvectors times the clipped 6 x 6 block, kept
-    # with A's kernel vectors, turned by Sigma's eigenvectors, at eigenvalue
-    # zero, and needs no eigensolve of its own afterwards
+    # result is A's kept eigenvectors times the clipped 6 x 6 block, so it
+    # vanishes on ker A
     rng = np.random.default_rng(26)
     a, b = random_psd(rng, 9, rank=6, scale=10.0), random_psd(rng, 9, rank=9)
     eigensolves.clear()
@@ -96,15 +95,8 @@ def test_nonsingular_split_stays_on_the_larger_range(monkeypatch, eigensolves):
     assert [h.shape[0] for _, h in eigensolves] == [3, 6]
     # one LU of h (rank A = 6); Sigma is applied in its eigenbasis
     assert solves == {6: 1}
-    eigensolves.clear()
-    dec, kernel = eig_hermitian(got), eig_hermitian(a).vectors[:, 6:]
-    assert eigensolves == []
-    # the zero-eigenvalue vectors span ker A
-    assert np.linalg.norm(kernel @ (kernel.conj().T @ dec.vectors[:, 6:]) - dec.vectors[:, 6:]) <= 1e-14
-    assert np.array_equal(dec.eigenvalues[6:], np.zeros(3))
+    kernel = eig_hermitian(a).vectors[:, 6:]
     assert np.linalg.norm(got.entries @ kernel) <= 1e-14 * got.norm
-    rebuilt = (dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T
-    assert np.allclose(rebuilt, got.entries, rtol=0.0, atol=1e-14 * got.norm)
     oracle = schur_parallel_sum(a.entries, b.entries)
     assert np.linalg.norm(got.entries - oracle) <= 1e-13 * (a.norm + b.norm)
 
@@ -123,14 +115,6 @@ def test_singular_sum_is_formed_off_the_kept_schur_directions(monkeypatch, eigen
     got = parallel_sum(a, b)
     assert [h.shape[0] for _, h in eigensolves] == [48, 56]
     assert solves == {16: 1}
-    # the kept factorization [Q1 V | U0 W+] rebuilds the result, and its
-    # unitarity residual stays under the bound it carries
-    factored = got._factorization()
-    vectors, values = factored.dec.vectors, factored.dec.eigenvalues
-    assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(64)) <= factored.ortho
-    assert np.array_equal(values[56:], np.zeros(8))
-    assert np.allclose((vectors * values) @ vectors.conj().T, got.entries, rtol=0.0,
-                       atol=1e-14 * got.norm)
     oracle = schur_parallel_sum(a.entries, b.entries)
     assert np.linalg.norm(got.entries - oracle) <= 1e-13 * (a.norm + b.norm)
 
