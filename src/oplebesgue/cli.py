@@ -36,6 +36,7 @@ from .serialize import (
     Report,
     SchemaError,
     matrix_to_json,
+    override_tolerances,
     parse_problem_text,
     render_report,
 )
@@ -130,19 +131,9 @@ def _emit_report(report: Report, args) -> None:
 
 
 def _cli_tolerances(args, base: Tolerances) -> Tolerances:
-    updates = {}
-    if args.tol_rank is not None:
-        updates["rank_rtol"] = args.tol_rank
-    if args.iter_tol is not None:
-        updates["iter_tol"] = args.iter_tol
-    if args.max_iter is not None:
-        updates["max_iter"] = args.max_iter
-    if not updates:
-        return base
-    try:
-        return dataclasses.replace(base, **updates)
-    except ValueError as exc:
-        raise SchemaError(str(exc), "$(flags)") from exc
+    flags = {"rank_rtol": args.tol_rank, "iter_tol": args.iter_tol, "max_iter": args.max_iter}
+    return override_tolerances(
+        base, {k: v for k, v in flags.items() if v is not None}, "$(flags)")
 
 
 def _load_problem(args) -> tuple[ProblemFile, Tolerances, str]:

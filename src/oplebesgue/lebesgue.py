@@ -176,7 +176,8 @@ def arlinskii_iterate(
     """
     require_same_dim(a, b)
     if b.trace <= 0.0 or a.norm == 0.0:
-        return LebesgueDecomposition(PsdMatrix.zero(b.dim), b, Method.ITERATE, 0, 0.0, True)
+        zero = psd_by_construction(np.zeros((b.dim, b.dim)), tol)
+        return LebesgueDecomposition(zero, b, Method.ITERATE, 0, 0.0, True)
     u, lam, factor = _range_compression(a, b, tol)
     q, r = np.linalg.qr(np.hstack([np.diag(np.sqrt(lam)), factor]).conj().T)
     # Q_F* = W diag(sqrt y) V*, with W square so that y is padded by zeros

@@ -184,7 +184,7 @@ def parallel_sum(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> P
     t = _term(st, solved, lambda rhs: (kept / w[:q]) @ (kept.conj().T @ rhs), v[:, q:])
     inverse = max(1.0 / lam[-1] if lam.size else 0.0, 1.0 / w[q - 1] if q else 0.0)
     noise = roundoff(a.dim, a.norm + b.norm + small.norm + small.norm * (small.norm * inverse))
-    c, vc, _ = _eigh(t / 2.0 + t.conj().T / 2.0)
+    c, vc, _ = _eigh(t)
     _require_above(c, noise, "parallel sum")
     # Q1 V, with U0 W0 taken from the whole turned kernel basis U0 [W0 | W+]
     u, r = dec.vectors, lam.size
@@ -408,7 +408,8 @@ def ando_ac_part(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> A
     dec = eig_hermitian(a, tol)
     keep = tol.support(dec.eigenvalues)
     if not keep.any() or b.trace < 0.0:
-        return AndoLimitResult(PsdMatrix.zero(b.dim), 1, 0.0, True, b)
+        zero = psd_by_construction(np.zeros((b.dim, b.dim)), tol)
+        return AndoLimitResult(zero, 1, 0.0, True, b)
     # the kept eigenvalues lead, so U = [U1 | U0] is the factorization's own
     lam = dec.eigenvalues[keep]
     r = lam.size

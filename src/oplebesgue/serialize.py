@@ -23,6 +23,7 @@ __all__ = [
     "SchemaError",
     "matrix_from_json",
     "matrix_to_json",
+    "override_tolerances",
     "parse_problem",
     "parse_problem_text",
     "render_report",
@@ -30,9 +31,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
-KINDS = ("operator_pair", "form_pair", "functional_pair")
-
-_TOLERANCE_KEYS = ("rank_rtol", "psd_slack", "iter_tol", "max_iter", "recon_tol")
 
 
 class SchemaError(ValueError):
@@ -146,30 +144,30 @@ def parse_problem(data, tol: Tolerances = DEFAULT_TOL) -> ProblemFile:
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}, expected one of {list(KINDS)}", "$.kind")
     overrides = data.get("tolerances", {})
-    if not isinstance(overrides, dict):
-        raise SchemaError("expected an object", "$.tolerances")
-    for key, value in overrides.items():
-        if key not in _TOLERANCE_KEYS:
-            raise SchemaError(f"unknown tolerance {key!r}", "$.tolerances")
-        expected = (int, "an integer") if key == "max_iter" else ((int, float), "a number")
-        if isinstance(value, bool) or not isinstance(value, expected[0]):
-            raise SchemaError(f"{key} must be {expected[1]}", "$.tolerances")
-    try:
-        tolerances = dataclasses.replace(
-            tol, **{k: (v if k == "max_iter" else float(v)) for k, v in overrides.items()}
-        )
-    except (ValueError, OverflowError) as exc:
-        raise SchemaError(str(exc), "$.tolerances") from exc
+    tolerances = override_tolerances(tol, overrides, "$.tolerances")
     payload = data.get("payload")
     if not isinstance(payload, dict):
         raise SchemaError("expected an object", "$.payload")
-    builder = {
-        "operator_pair": _parse_operator_pair,
-        "form_pair": _parse_form_pair,
-        "functional_pair": _parse_functional_pair,
-    }[kind]
-    problem = builder(payload, tolerances)
+    problem = _PARSERS[kind](payload, tolerances)
     return ProblemFile(version, kind, problem, tolerances, dict(overrides))
+
+
+def override_tolerances(tol: Tolerances, overrides, path: str) -> Tolerances:
+    """``tol`` with the fields named in the object ``overrides`` replaced.
+
+    `Tolerances` judges every value; an unknown name or a value it rejects
+    is a SchemaError at ``path``.
+    """
+    if not isinstance(overrides, dict):
+        raise SchemaError("expected an object", path)
+    known = {f.name for f in dataclasses.fields(Tolerances)}
+    for key in overrides:
+        if key not in known:
+            raise SchemaError(f"unknown tolerance {key!r}", path)
+    try:
+        return dataclasses.replace(tol, **overrides)
+    except ValueError as exc:
+        raise SchemaError(str(exc), path) from exc
 
 
 def _parse_operator_pair(payload: dict, tol: Tolerances) -> OperatorPairProblem:
@@ -195,14 +193,11 @@ def _parse_form_pair(payload: dict, tol: Tolerances) -> FormPairProblem:
 
 
 def _parse_functional_pair(payload: dict, tol: Tolerances) -> FunctionalPairProblem:
-    dims = payload.get("block_dims")
-    if (
-        not isinstance(dims, list)
-        or not dims
-        or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in dims)
-    ):
-        raise SchemaError("expected an array of positive integers", "$.payload.block_dims")
-    algebra = StarAlgebra(tuple(dims))
+    try:
+        algebra = StarAlgebra(tuple(payload.get("block_dims", ())))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(str(exc), "$.payload.block_dims") from exc
+    dims = algebra.block_dims
 
     def parse_densities(key: str) -> Functional:
         mats = payload.get(key)
@@ -220,6 +215,14 @@ def _parse_functional_pair(payload: dict, tol: Tolerances) -> FunctionalPairProb
         return Functional(algebra, tuple(densities))
 
     return FunctionalPairProblem(algebra, parse_densities("w"), parse_densities("v"))
+
+
+_PARSERS = {
+    "operator_pair": _parse_operator_pair,
+    "form_pair": _parse_form_pair,
+    "functional_pair": _parse_functional_pair,
+}
+KINDS = tuple(_PARSERS)
 
 
 def serialize_problem(pf: ProblemFile) -> dict:

@@ -208,3 +208,25 @@ def test_blockwise_gns_identities_with_unequal_block_ranks():
         assert abs(np.vdot(zeta, pa @ zeta) - expected) <= 1e-12 * (1.0 + abs(expected))
         assert np.allclose(triplet.represent(a * b), pa @ pb, rtol=0.0, atol=1e-11)
         assert np.allclose(triplet.represent(a.star()), pa.conj().T, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["iterate", "ando"])
+def test_zero_reference_builds_the_zero_part(eigensolves, monkeypatch, method):
+    # with A = 0 both routes exit early: their zero ac part is built by
+    # construction, with no validating constructor call and no eigensolve
+    a = PsdMatrix(np.zeros((5, 5)))
+    b = random_psd(np.random.default_rng(6), 5, rank=3)
+    constructed = []
+    validate = PsdMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        constructed.append(args)
+        validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(PsdMatrix, "__init__", counted)
+    eigensolves.clear()
+    ac, sing = decompose(a, b, method)
+    assert constructed == []
+    assert eigensolves == []
+    assert not ac.entries.any()
+    assert sing is b

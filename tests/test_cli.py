@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oplebesgue import PsdMatrix, cli, lebesgue
+from oplebesgue import PsdMatrix, Tolerances, cli, lebesgue
 from oplebesgue import selftest as selftest_suite
 from oplebesgue.lebesgue import range_threshold, singularity_threshold
 from oplebesgue.serialize import parse_problem_text, serialize_problem
@@ -391,6 +391,50 @@ def test_schema_violations_exit_2(capsys, tmp_path, mutate):
     else:
         assert error["category"] == "schema"
         assert error["message"].startswith(f"{expect}: "), error["message"]
+
+
+def _tolerances_message(**fields):
+    with pytest.raises(ValueError) as exc:
+        Tolerances(**fields)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("fields", [{"psd_slack": "1e-9"}, {"max_iter": 2.7}],
+                         ids=["string", "fraction"])
+def test_bad_tolerance_in_the_file_carries_the_library_message(capsys, tmp_path, fields):
+    doc = operator_doc(np.eye(2), np.eye(2), tolerances=fields)
+    code, _, err = run_cli(capsys, "psum", write_problem(tmp_path, doc))
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["category"] == "schema"
+    assert error["message"] == f"$.tolerances: {_tolerances_message(**fields)}"
+
+
+def test_bad_tolerance_reads_the_same_from_the_file_and_a_flag(capsys, tmp_path):
+    # the file's tolerances and the flags take one override path, so one
+    # out-of-range value gives one message, each at its own path
+    expected = _tolerances_message(rank_rtol=-1.0)
+    plain = write_problem(tmp_path, operator_doc(np.eye(2), np.eye(2)), "plain.json")
+    overridden = write_problem(
+        tmp_path, operator_doc(np.eye(2), np.eye(2), tolerances={"rank_rtol": -1.0}))
+    messages = []
+    for args in ([overridden], [plain, "--tol-rank", "-1"]):
+        code, _, err = run_cli(capsys, "psum", *args)
+        assert code == 2
+        messages.append(json.loads(err)["error"]["message"])
+    assert messages == [f"$.tolerances: {expected}", f"$(flags): {expected}"]
+
+
+@pytest.mark.parametrize("dims", [3, None, [], [2, True], ["2"]],
+                         ids=["number", "missing", "empty", "bool", "string"])
+def test_bad_block_dims_carry_the_algebra_message(capsys, tmp_path, dims):
+    doc = operator_doc(np.eye(2), np.eye(2))
+    doc.update(functional_doc(dims, 1))
+    code, _, err = run_cli(capsys, "psum", write_problem(tmp_path, doc))
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["category"] == "schema"
+    assert error["message"].startswith("$.payload.block_dims: "), error["message"]
 
 
 @pytest.mark.parametrize("cell", [10**400, [0, -(10**400)]], ids=["real", "pair"])

@@ -1,7 +1,7 @@
 """Hermitian PSD kernel: construction, eigendecomposition, pinv, projections, order."""
 
-import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -788,12 +788,16 @@ def test_only_core_calls_the_eigensolvers():
 
 
 def test_every_package_export_is_exported_by_its_module():
-    # each name the package exports is re-exported from one submodule, whose
-    # own __all__ lists it
-    tree = ast.parse(Path(oplebesgue.__file__).read_text())
-    home = {alias.name: node.module for node in tree.body
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            for alias in node.names}
-    for name in oplebesgue.__all__:
-        module = importlib.import_module(f"oplebesgue.{home[name]}")
-        assert name in module.__all__, (name, module.__name__)
+    # the package exports exactly its library modules' __all__, each name
+    # from the one module that lists it, as that module's own object
+    modules = [importlib.import_module(f"oplebesgue.{name}")
+               for name in ("core", "forms", "functionals", "lebesgue", "parallel")]
+    listed = [name for module in modules for name in module.__all__]
+    assert len(listed) == len(set(listed))
+    assert sorted(oplebesgue.__all__) == sorted(listed)
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(oplebesgue, name)
+            assert obj is getattr(module, name), (name, module.__name__)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, name

@@ -361,3 +361,38 @@ def test_route_results_hold_each_density_above_the_pairs_slack():
                         assert np.linalg.eigvalsh(g)[0] >= -bound, (spread, across, dims)
                         checked += 1
     assert checked == 3402
+
+
+def test_every_route_part_decomposes_again_against_the_reference():
+    # every route's ac and sing parts of hostile pairs (spread 1e8 inside a
+    # block, block scales 1e6 apart) go through every route again against v:
+    # none of the 1,152 calls raises, and each re-splits its part to within
+    # 1e-10 ||w|| (the worst is 2.2e-12).  This pins why the rebuilt
+    # densities are clipped at zero: read as G_k^T with no clip, `ando`
+    # raises "doubling limit did not settle above zero" on 12 of the calls,
+    # each re-decomposing an ac part of `iterate` or `ando` that round-off
+    # leaves indefinite at its own scale
+    tol = Tolerances(max_iter=3000)
+    routes = ("direct", "iterate", "ando")
+    calls = 0
+    for spread in (1e3, 1e8):
+        for across in (1.0, 1e6):
+            rng = np.random.default_rng([43, int(np.log10(spread)), int(np.log10(across))])
+            for dims in [(3,), (2, 3)]:
+                for draw in range(8):
+                    w, v = (hostile_functional(rng, dims, spread,
+                                               across ** -rng.uniform(0.0, 1.0, size=len(dims)))
+                            for _ in "wv")
+                    scale = max(rho.norm for rho in w.densities)
+                    for method in routes:
+                        for part in functional_decompose(w, v, method, tol):
+                            for again in routes:
+                                dec = functional_decompose(part, v, again, tol)
+                                calls += 1
+                                for ac, sing, rho in zip(dec.ac.densities, dec.sing.densities,
+                                                         part.densities):
+                                    residual = np.linalg.norm(ac.entries + sing.entries
+                                                              - rho.entries)
+                                    assert residual <= 1e-10 * scale, (
+                                        spread, across, dims, draw, method, again)
+    assert calls == 1152
