@@ -22,12 +22,14 @@ PINS = {
         "core.eigensolves": (EXACTLY, 182 / 12),
         "core.eig_work": (AT_MOST, 943.5),
         "core.psd_init_calls": (EXACTLY, 32 / 12),
+        "lebesgue.iterate_steps": (EXACTLY, 47 / 12),
     },
     "operator-crosscheck": {
         "core.eigensolves": (EXACTLY, 11),
         "core.eig_work": (AT_MOST, 1138176),
         "core.psd_init_calls": (EXACTLY, 2),
         "parallel.ando_terms": (AT_MOST, 8),
+        "lebesgue.iterate_steps": (EXACTLY, 25),
     },
     "functional-blocks": {
         "core.eigensolves": (EXACTLY, 27),
@@ -38,7 +40,7 @@ PINS = {
 }
 
 SHOWN = ("core.max_eig_dim", "core.eig_work", "core.eigensolves", "core.psd_init_calls",
-         "parallel.ando_terms")
+         "parallel.ando_terms", "lebesgue.iterate_steps")
 
 
 def main() -> int:

@@ -31,7 +31,6 @@ from .core import (
     range_projection,
     require_same_dim,
     require_unitary,
-    roundoff,
     spectral_map,
     support_roots,
 )
@@ -130,15 +129,15 @@ def arlinskii_step(x: PsdMatrix, a: PsdMatrix, tol: Tolerances = DEFAULT_TOL) ->
 
 def _range_compression(
     a: PsdMatrix, b: PsdMatrix, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U, lam, F) for M = ran B: B = U diag(lam) U* over B's kept eigenvalues,
-    and F F* = U* S_M(A) U, the short of A to M (Anderson & Trapp 1975) in U's
-    coordinates.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(U, lam, F, U0, w0) for M = ran B: B = U diag(lam) U* + U0 diag(w0) U0*
+    over B's kept and cut eigenvalues, and F F* = U* S_M(A) U, the short of A
+    to M (Anderson & Trapp 1975) in U's coordinates.
 
-    With A = R R* its root factor and U0 the rest of B's eigenvectors, S_M(A)
-    = R K K* R* where K spans the kernel of U0* R: its squared singular
-    values are judged by the rank cutoff against A's largest eigenvalue.  So
-    F = U* R K, and no pseudo-inverse of a block of A is formed.
+    With A = R R* its root factor, S_M(A) = R K K* R* where K spans the kernel
+    of U0* R: its squared singular values are judged by the rank cutoff
+    against A's largest eigenvalue.  So F = U* R K, and no pseudo-inverse of
+    a block of A is formed.
     """
     dec = eig_hermitian(b, tol)
     keep = tol.support(dec.eigenvalues)
@@ -147,7 +146,8 @@ def _range_compression(
     _, sigma, vh = _svd(u0.conj().T @ root, True)
     top = eig_hermitian(a, tol).eigenvalues[0]
     kernel = vh[np.count_nonzero(tol.support(sigma**2, top)):]
-    return u, dec.eigenvalues[keep], u.conj().T @ root @ kernel.conj().T
+    return (u, dec.eigenvalues[keep], u.conj().T @ root @ kernel.conj().T,
+            u0, dec.eigenvalues[~keep])
 
 
 def arlinskii_iterate(
@@ -167,8 +167,12 @@ def arlinskii_iterate(
     (Q_F the rows of Q that belong to F).  Congruence by the invertible G
     commutes with parallel sums and every iterate is a function of Yc, so
     the n-th iterate is exactly H diag(g_n) H* with H = U G W, g_0 = 1 - y
-    and g_{n+1} = g_n^2 / (g_n + y), a scalar recursion; sing = H diag(g) H*
-    and ac = B - sing, so eigenvalues of B under the rank cutoff belong to ac.
+    and g_{n+1} = g_n^2 / (g_n + y), a scalar recursion.  Both parts are Gram
+    products, sing = H diag(g) H* and ac = H diag(1 - y - g) H* + U0 diag(w0)
+    U0* with B's eigenvalues w0 under the rank cutoff, weights clipped at
+    zero.  They sum to B to round-off while diag(lam) = GW diag(1 - y) GW*
+    (GW = G W), so a residual of that r x r identity above psd_slack
+    (||A|| + ||B||) raises NumericalError.
     When A has eigenvalues many orders below those of B on a shared subspace
     the iteration needs roughly one step per eigenvalue ratio, so it carries
     ``max_iter`` and a non-converged flag.  No route is the reference: the
@@ -178,12 +182,17 @@ def arlinskii_iterate(
     if b.trace <= 0.0 or a.norm == 0.0:
         zero = psd_by_construction(np.zeros((b.dim, b.dim)), tol)
         return LebesgueDecomposition(zero, b, Method.ITERATE, 0, 0.0, True)
-    u, lam, factor = _range_compression(a, b, tol)
+    u, lam, factor, u0, w0 = _range_compression(a, b, tol)
     q, r = np.linalg.qr(np.hstack([np.diag(np.sqrt(lam)), factor]).conj().T)
     # Q_F* = W diag(sqrt y) V*, with W square so that y is padded by zeros
     w, root_y, _ = _svd(q[lam.size:].conj().T, True)
     y = np.clip(np.pad(root_y**2, (0, lam.size - root_y.size)), 0.0, 1.0)
     gw = r.conj().T @ w
+    consistency = _frobenius(np.diag(lam) - (gw * (1.0 - y)) @ gw.conj().T)
+    noise = tol.psd_slack * (a.norm + b.norm)
+    if consistency > noise:
+        raise NumericalError(f"iterate's factors disagree with the spectrum of B by "
+                             f"{consistency:.3e} > {noise:.3e}", residual=consistency)
     h = u @ gw
     weight = np.sum(np.abs(h) ** 2, axis=0)
     threshold = tol.iter_tol * b.trace
@@ -197,44 +206,10 @@ def arlinskii_iterate(
             converged = True
             break
     sing = psd_by_construction((h * g) @ h.conj().T, tol)
-    noise = tol.psd_slack * (a.norm + b.norm)
-    if _limit_floor(b, lam, gw, y, g, weight, sing) >= -noise:
-        ac = psd_by_construction(b.entries - sing.entries, tol)
-    else:
-        # the certificate fell short (its round-off term grows with n): the
-        # exact check decides
-        ac = psd_difference(b, sing, noise, "iterate limit", tol)
+    kept = np.hstack([h, u0])
+    ac = psd_by_construction(
+        (kept * np.maximum(np.concatenate([1.0 - y - g, w0]), 0.0)) @ kept.conj().T, tol)
     return LebesgueDecomposition(ac, sing, Method.ITERATE, iterations, residual, converged)
-
-
-def _limit_floor(b: PsdMatrix, lam: np.ndarray, gw: np.ndarray, y: np.ndarray, g: np.ndarray,
-                 weight: np.ndarray, sing: PsdMatrix) -> float:
-    """A certified lower bound on the smallest eigenvalue of ac = B - sing,
-    read off the factorizations ``arlinskii_iterate`` already holds.
-
-    With B = U0 diag(w0) U0* + E_B its kept eigendecomposition, U (eigenvalues
-    ``lam``) the part the iteration ran on, GW = G W = ``gw`` and
-    H = U G W, whose squared column norms are ``weight``,
-
-        B - sing = [U0 diag(w0) U0* - U diag(lam) U*] + E_B
-                   + U [diag(lam) - GW diag(1 - y) GW*] U* + H diag(1 - y - g) H*
-
-    up to the rounding of H and of the products, so by Weyl's inequality
-    lambda_min >= min(w0, 0) (1 + ortho) - ||E_B||_F - ||diag(lam) - GW
-    diag(1 - y) GW*||_F (1 + ortho) + sum_i min(1 - y - g, 0)_i weight_i
-    - roundoff(n, ||B|| + ||sing||), with ortho = ||U0* U0 - I||_F.  The first
-    bracket holds only B's eigenvalues under the cutoff; the third term is
-    the consistency of the QR (G = R*) and the SVD of Q_F*, one r x r product
-    (r = rank B); the fourth is zero in exact arithmetic, where g decreases
-    from 1 - y.
-    """
-    factored = b._factorization()
-    lowest = float(factored.dec.eigenvalues[-1])
-    consistency = _frobenius(np.diag(lam) - (gw * (1.0 - y)) @ gw.conj().T)
-    return (min(lowest, 0.0) * (1.0 + factored.ortho) - factored.recon
-            - consistency * (1.0 + factored.ortho)
-            + float(np.minimum(1.0 - y - g, 0.0) @ weight)
-            - roundoff(b.dim, b.norm + sing.norm))
 
 
 def auxiliary_space(a: PsdMatrix, b: PsdMatrix, tol: Tolerances = DEFAULT_TOL) -> AuxiliarySpace:

@@ -1,8 +1,8 @@
 """Results that are PSD by construction skip their validating eigensolve.
 
 The induced Gram of a block functional is a direct sum of copies of the
-validated densities, and the parts of the direct decomposition are Gram
-products X X*.  These tests check that the skipped validation would have
+validated densities, and the parts of the direct and iterate decompositions
+are Gram products X X*.  These tests check that the skipped validation would have
 passed, that the trusted constructor keeps its cheap checks, and that the
 blockwise GNS construction makes the rank decisions of the dense Gram.
 """
@@ -15,6 +15,7 @@ from oplebesgue import (
     Functional,
     PsdMatrix,
     StarAlgebra,
+    Tolerances,
     decompose,
     eig_hermitian,
     evaluate,
@@ -96,24 +97,32 @@ def test_induced_gram_would_pass_its_validation(spread, across):
             assert _meets_psd_slack(induced_form(w).gram.entries), (dims, spread, across)
 
 
-@pytest.mark.parametrize("seed", [2, 3, 12])
-def test_direct_parts_would_pass_their_validation_on_gaussian_pairs(seed):
+def _on_routes(values):
+    """(method, value) cases over the routes that build their parts as Gram
+    products; direct's cases keep the value as their id."""
+    return [pytest.param(method, value, id=str(value) if method == "direct" else f"{method}-{value}")
+            for method in ("direct", "iterate") for value in values]
+
+
+@pytest.mark.parametrize("method,seed", _on_routes([2, 3, 12]))
+def test_direct_parts_would_pass_their_validation_on_gaussian_pairs(method, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(64, 32)) + 1j * rng.normal(size=(64, 32))
     y = rng.normal(size=(64, 32)) + 1j * rng.normal(size=(64, 32))
-    dec = decompose(PsdMatrix(x @ x.conj().T), PsdMatrix(y @ y.conj().T), "direct")
+    dec = decompose(PsdMatrix(x @ x.conj().T), PsdMatrix(y @ y.conj().T), method)
     assert _meets_psd_slack(dec.sing.entries)
     assert _meets_psd_slack(dec.ac.entries)
 
 
-@pytest.mark.parametrize("ratio", [1e3, 1e6, 1e8, 1e10, 1e12])
-def test_direct_parts_would_pass_their_validation_on_random_pairs(ratio):
+@pytest.mark.parametrize("method,ratio", _on_routes([1e3, 1e6, 1e8, 1e10, 1e12]))
+def test_direct_parts_would_pass_their_validation_on_random_pairs(method, ratio):
     # with a_tilde = S* A S for S = U / sqrt(lam) over ran(A + B), 1 of the
-    # 30 draws fails at 1e10 and 2 at 1e12
+    # 30 draws fails at 1e10 and 2 at 1e12 for direct
     rng = np.random.default_rng([22, int(np.log10(ratio))])
+    tol = Tolerances(max_iter=3000)
     for _ in range(30):
         a, b = random_pair(rng, ratio=ratio)
-        dec = decompose(a, b, "direct")
+        dec = decompose(a, b, method, tol)
         assert _meets_psd_slack(dec.sing.entries)
         assert _meets_psd_slack(dec.ac.entries)
 

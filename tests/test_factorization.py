@@ -135,8 +135,8 @@ def test_iterate_eigensolve_count(eigensolves):
     # no eigensolve; one SVD of the 2 x 8 rows of that factor off ran B (the
     # short of A to ran B, F F* with F 10 x 6), one thin QR of the 16 x 10
     # stack [diag(lam)^(1/2), F]* and one SVD of its 10 x 6 block Q_F*; the
-    # steps are a scalar recursion, and the final ac part is certified from
-    # B's factorization, the QR and the SVD, with no eigensolve
+    # steps are a scalar recursion, and both parts are Gram products of H and
+    # of B's eigenvectors under the cutoff, with no eigensolve
     assert _tally(eigensolves) == {("svd", 2): 1, ("svd", 10): 1, ("qr", 16): 1}
     assert sorted((name, h.shape) for name, h in eigensolves) == [
         ("qr", (16, 10)), ("svd", (2, 8)), ("svd", (10, 6))]

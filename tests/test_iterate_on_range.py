@@ -40,7 +40,7 @@ def test_parallel_sum_of_an_operand_on_ran_b_is_the_compressed_one_against_the_s
     rng = np.random.default_rng([41, dim, rank_a, rank_b])
     a = random_psd(rng, dim, rank_a)
     b = random_psd(rng, dim, rank_b)
-    u, lam, factor = _range_compression(a, b, DEFAULT_TOL)
+    u, lam, factor = _range_compression(a, b, DEFAULT_TOL)[:3]
     assert u.shape == (dim, rank_b) and lam.shape == (rank_b,)
     short = PsdMatrix(factor @ factor.conj().T)
     assert np.allclose(_lift(u, np.diag(lam)), b.entries, rtol=0.0, atol=1e-12 * b.norm)
@@ -146,7 +146,7 @@ def test_iterate_edge_cases_match_the_anderson_trapp_oracle(kind, mutation):
     assert _error(dec, a, b) <= bound, mutation
     if kind == "full-rank B":
         # nothing lies off ran B, so K = I and the short is A itself
-        u, _, factor = _range_compression(a, b, DEFAULT_TOL)
+        u, _, factor = _range_compression(a, b, DEFAULT_TOL)[:3]
         assert factor.shape == (6, 3)
         assert np.linalg.norm(_lift(u, factor @ factor.conj().T) - a.entries) <= 1e-12 * a.norm
     if kind in ("A orthogonal to ran B", "ran A meets ran B only in 0"):

@@ -21,8 +21,7 @@ from oplebesgue import (
     parallel_sum,
     range_projection,
 )
-from oplebesgue import core, lebesgue
-from oplebesgue.core import psd_difference, roundoff
+from oplebesgue.core import psd_by_construction, roundoff
 
 from helpers import anderson_trapp_ac, random_contraction, random_pair, random_psd, random_unitary
 
@@ -163,65 +162,30 @@ def test_direct_parts_sum_to_b_on_hostile_spreads(exponent):
         assert np.linalg.norm(dec.ac.entries + dec.sing.entries - b.entries) <= bound, i
 
 
+@pytest.mark.parametrize("exponent", [3, 6, 8, 10, 12])
+def test_iterate_parts_sum_to_b_on_hostile_spreads(exponent):
+    # both parts are Gram products on the factors of B's kept spectrum and
+    # the iterates, plus B's eigenvalues under the cutoff, so they sum to B
+    # within round-off at the inputs' scale, converged or flagged
+    rng = np.random.default_rng([31, exponent])
+    tol = Tolerances(max_iter=3000)
+    for i in range(150):
+        a, b = random_pair(rng, 12, ratio=10.0**exponent)
+        dec = arlinskii_iterate(a, b, tol)
+        residual = np.linalg.norm(dec.ac.entries + dec.sing.entries - b.entries)
+        assert residual <= roundoff(b.dim, a.norm + b.norm), i
+
+
 def _rank_deficient_pair(seed):
     """A 12-dim pair, A of rank 8 and B of rank 10, so B has a singular part."""
     rng = np.random.default_rng(seed)
     return random_psd(rng, 12, rank=8), random_psd(rng, 12, rank=10)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_iterate_limit_certificate_lies_below_the_spectrum(monkeypatch, seed):
-    # the bound that stands in for an eigensolve of ac = B - sing is a lower
-    # bound on its smallest eigenvalue, inside the noise, and below it by
-    # about the round-off term it carries
-    a, b = _rank_deficient_pair(seed)
-    bounds = []
-    real = lebesgue._limit_floor
-
-    def spy(*args):
-        bounds.append(real(*args))
-        return bounds[-1]
-
-    monkeypatch.setattr(lebesgue, "_limit_floor", spy)
-    dec = arlinskii_iterate(a, b)
-    assert dec.sing.norm > 1e-3 * b.norm
-    lowest = float(np.linalg.eigvalsh(dec.ac.entries)[0])
-    scale = DEFAULT_TOL.psd_slack * (a.norm + b.norm)
-    assert len(bounds) == 1
-    assert -scale < bounds[0] <= lowest
-    assert lowest - bounds[0] <= 2.0 * roundoff(b.dim, b.norm + dec.sing.norm)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_iterate_limit_falls_back_to_the_exact_check(monkeypatch, seed):
-    # the certificate's round-off term grows with n; where it alone exceeds
-    # the noise, one eigh of B - sing decides, ac is what it was, and it
-    # keeps the factorization it was judged on
-    a, b = _rank_deficient_pair(seed)
-    certified = arlinskii_iterate(a, b)
-    solves = []
-    real = core._factor
-
-    def counted(h):
-        solves.append(h.shape)
-        return real(h)
-
-    monkeypatch.setattr(lebesgue, "roundoff", lambda dim, scale: 1e6 * scale)
-    monkeypatch.setattr(core, "_factor", counted)
-    checked = arlinskii_iterate(a, b)
-    assert solves == [(12, 12)]
-    assert np.array_equal(checked.ac.entries, certified.ac.entries)
-    assert np.array_equal(checked.sing.entries, certified.sing.entries)
-    eig_hermitian(checked.ac)
-    assert solves == [(12, 12)]
-    exact = psd_difference(b, certified.sing, 1.0, "test")
-    assert np.array_equal(checked.ac.entries, exact.entries)
-
-
 def test_iterate_limit_above_b_is_a_named_failure(monkeypatch):
     # G = R* scaled by 1.1 makes sing = H diag(g) H* exceed B by about a
-    # fifth of itself; the certificate sees it as the QR disagreeing with
-    # B's spectrum and raises as the eigensolve did
+    # fifth of itself; the factors no longer reproduce B's kept spectrum,
+    # diag(lam) = GW diag(1 - y) GW*, and iterate raises with that residual
     a, b = _rank_deficient_pair(0)
     real = np.linalg.qr
     calls = []
@@ -232,7 +196,7 @@ def test_iterate_limit_above_b_is_a_named_failure(monkeypatch):
         return q, 1.1 * r
 
     monkeypatch.setattr(np.linalg, "qr", inflated)
-    with pytest.raises(NumericalError, match="iterate limit lost positivity") as info:
+    with pytest.raises(NumericalError, match="iterate's factors disagree with the spectrum of B") as info:
         arlinskii_iterate(a, b)
     assert len(calls) == 1
     assert info.value.residual > DEFAULT_TOL.psd_slack * (a.norm + b.norm)
@@ -344,20 +308,57 @@ def test_negative_mass_inside_the_slack_is_carried_through(call, swapped):
 
 @pytest.mark.parametrize("call", ["iterate", "ando"])
 def test_a_derived_part_with_a_negative_trace_is_all_singular(call):
-    # ran A and ran B meet only in 0, so iterate's ac part of B is round-off
-    # alone, here with trace -6.1e-16 and negative eigenvalues far below its
-    # own round-off: it is built, not validated.  Decomposed again, it is
-    # zero up to round-off, so both routes stop at once with all of it
-    # singular, where a threshold of iter_tol times its trace is negative
-    # and no increment could reach it
+    # ran A and ran B meet only in 0, so B - sing is round-off alone, here
+    # with trace -6.1e-16 and negative eigenvalues far below its own
+    # round-off: it is built, not validated.  Decomposed again, it is zero
+    # up to round-off, so both routes stop at once with all of it singular,
+    # where a threshold of iter_tol times its trace is negative and no
+    # increment could reach it
     q = random_unitary(np.random.default_rng(2), 4)
     a = PsdMatrix((q[:, :2] * [1.0, 0.5]) @ q[:, :2].conj().T)
     b = PsdMatrix((q[:, 2:] * [1.0, 0.5]) @ q[:, 2:].conj().T)
-    part = arlinskii_iterate(a, b).ac
+    part = psd_by_construction(b.entries - arlinskii_iterate(a, b).sing.entries)
     assert part.trace < 0.0
     dec = decompose(a, part, call, Tolerances(max_iter=10**4))
     assert dec.converged and dec.iterations <= 1
     assert dec.ac.norm == 0.0 and dec.sing is part
+
+
+def _singular_pairs():
+    """200 pairs with ran A and ran B complementary, so each ac part is
+    round-off alone."""
+    rng = np.random.default_rng(231)
+    pairs = []
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        rank_a = int(rng.integers(1, n))
+        a = random_psd(rng, n, rank_a, 1e3)
+        pairs.append((a, random_psd(rng, n, n - rank_a, 1e3)))
+    return pairs
+
+
+@pytest.mark.parametrize("source", [
+    "direct",
+    "iterate",
+    pytest.param("ando", marks=pytest.mark.xfail(strict=True, reason=(
+        "ando raises 'doubling limit did not settle above zero' on 110 of its "
+        "176 own ac parts, indefinite at their own scale (ROADMAP item 2)"))),
+])
+def test_a_route_ac_part_of_a_singular_pair_decomposes_again(source):
+    # each ac part with positive trace goes through every route again,
+    # against A and against B, and none raises.  A part formed as B - sing
+    # is indefinite at its own scale, and ando raises on 218 of the 220 such
+    # parts iterate would return
+    calls = 0
+    for a, b in _singular_pairs():
+        part = decompose(a, b, source).ac
+        if part.trace <= 0.0:
+            continue
+        for reference in (a, b):
+            for again in ("direct", "iterate", "ando"):
+                decompose(reference, part, again)
+                calls += 1
+    assert calls == {"direct": 1194, "iterate": 924, "ando": 528}[source]
 
 
 def test_direct_invertible_reference_has_no_singular_part():
